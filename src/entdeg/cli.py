@@ -105,11 +105,14 @@ def _load_state(path: str):
         raise ValueError("state file needs 'dims' and 'amplitudes' fields") from None
     if not isinstance(dims, list) or len(dims) != 2:
         raise ValueError("'dims' must be a pair of local dimensions")
+    # bool is an int subclass, and int() would truncate 2.7 to 2
+    if not all(type(d) is int for d in dims):
+        raise ValueError(f"'dims' must be two integers, got {dims}")
     try:
         amps = [complex(float(re), float(im)) for re, im in raw]
     except (TypeError, ValueError):
         raise ValueError("'amplitudes' must be a list of [re, im] pairs") from None
-    return state_from_amplitudes(amps, int(dims[0]), int(dims[1]))
+    return state_from_amplitudes(amps, dims[0], dims[1])
 
 
 def cmd_analyze(args) -> int:

@@ -167,9 +167,10 @@ def _signed_cofactors_3x3(b: np.ndarray) -> np.ndarray:
 
     Written out explicitly: the sign convention is load-bearing in the
     cofactor identity below and a transposed adjugate would silently
-    satisfy most symmetric test cases.
+    satisfy most symmetric test cases. ``b`` may carry trailing stack axes,
+    shape (3, 3, ...), for many matrices at once.
     """
-    c = np.empty((3, 3))
+    c = np.empty(b.shape)
     rows = ((1, 2), (0, 2), (0, 1))
     for i in range(3):
         r0, r1 = rows[i]

@@ -9,6 +9,7 @@ requires them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,8 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
     Raises
     ------
     ValueError
-        On a zero input vector, a length mismatch, or an unsupported dimension.
+        On a zero input vector, a non-finite amplitude, a length mismatch, or
+        an unsupported dimension.
     """
     if dim_a not in (2, 3) or dim_b not in (2, 3):
         raise ValueError(f"unsupported local dimensions ({dim_a}, {dim_b})")
@@ -75,6 +77,9 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
             f"expected {dim_a * dim_b} amplitudes for dims ({dim_a}, {dim_b}), got {a.size}"
         )
     norm = float(np.linalg.norm(a))
+    # a NaN or infinite part makes the norm non-finite; only then look closer
+    if not math.isfinite(norm) and not np.isfinite(a).all():
+        raise ValueError("amplitudes must be finite, got NaN or infinity")
     if norm == 0.0:
         raise ValueError("state vector is identically zero")
     warned = abs(norm - 1.0) > NORM_WARN_TOL

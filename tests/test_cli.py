@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +107,30 @@ def test_analyze_zero_state(tmp_path, capsys):
     assert cli.main(["analyze", "--input", path]) == 2
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_analyze_rejects_non_finite_amplitudes(tmp_path, capsys, token):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(
+        f'{{"dims": [2, 2], "amplitudes": [[{token}, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}}',
+        encoding="utf-8",
+    )
+    assert cli.main(["analyze", "--input", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("dims", [[2.7, 2], [2, 2.0], [True, 2], ["2", 2]])
+def test_analyze_rejects_non_integer_dims(tmp_path, capsys, dims):
+    path = tmp_path / "dims.json"
+    amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    path.write_text(json.dumps({"dims": dims, "amplitudes": amps}), encoding="utf-8")
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'dims' must be two integers" in captured.err
+
+
 def test_purity_violation_maps_to_exit_3(three_term_file, monkeypatch, capsys):
     def boom(psi):
         raise PurityViolation("determinant sign inconsistent with purity")
@@ -167,11 +193,15 @@ def test_examples_deterministic(capsys):
 
 
 def test_module_entry_point():
+    # run the package this test imported, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "entdeg", "examples"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "worst deviation" in proc.stdout

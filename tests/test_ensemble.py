@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from entdeg import ensemble, measure
+from entdeg.bloch import decompose, reconstruct
 from entdeg.ensemble import (
+    CHUNK,
     haar_random_pure,
     property_sweep,
     state_for_index,
 )
+from entdeg.generators import basis_for
+from entdeg.hyperbolic import degree_hyperbolic
+from entdeg.measure import PurityViolation, analyze
 from entdeg.states import density_from_state, partial_trace, purity
 
 QUBIT_KEYS = {
@@ -95,15 +101,108 @@ def test_sweep_worker_count_does_not_change_results():
     assert serial3 == threaded3
 
 
-def test_sweep_max_reduction_dominates_samples():
-    from entdeg.ensemble import _sample_residuals
+def scalar_residuals(psi):
+    """The per-state route through the public single-state functions."""
+    rep = analyze(psi)
+    basis = basis_for(psi.dim_a)
+    rho = density_from_state(psi)
+    bf = decompose(rho, basis)
+    residuals = {
+        "roundtrip": float(np.abs(reconstruct(bf, basis) - rho).max()),
+        "alpha_det_negativity": max(0.0, -rep.alpha_det),
+    }
+    if psi.dim_a == 2:
+        residuals.update(rep.constraint_residuals)
+        residuals["oracle_det_vs_schmidt"] = abs(rep.p_e_det - rep.p_e_schmidt)
+        residuals["oracle_det_vs_concurrence"] = abs(rep.p_e_det - rep.concurrence)
+        from_u = np.sqrt(max(0.0, 1.0 - rep.u_norm ** 2))
+        residuals["det_vs_u_norm"] = abs(rep.p_e_det - from_u)
+        residuals["det_vs_hyperbolic"] = abs(rep.p_e_det - degree_hyperbolic(np.array(rep.u)))
+    return residuals, rep.p_e_det
 
-    report = property_sweep(40, 2, seed=5)
-    for idx in (0, 7, 39):
-        residuals, p_e = _sample_residuals(state_for_index(2, 5, idx))
-        for key, val in residuals.items():
-            assert report.worst_residuals[key] >= val
-        assert report.p_e_min <= p_e <= report.p_e_max
+
+@pytest.mark.parametrize("dim, seed", [(2, 5), (3, 17)])
+def test_chunk_values_equal_scalar_route_bit_for_bit(dim, seed):
+    # 300 samples from an unaligned start, cut into chunks the way the sweep
+    # cuts them, so several chunk boundaries fall inside the range
+    lo, hi = CHUNK // 2, CHUNK // 2 + 300
+    parts = [
+        ensemble._chunk_values(dim, seed, start, min(start + CHUNK, hi))
+        for start in range(lo, hi, CHUNK)
+    ]
+    p_e = np.concatenate([part[1] for part in parts])
+    keys = QUBIT_KEYS if dim == 2 else QUTRIT_KEYS
+    assert all(set(part[0]) == keys for part in parts)
+    kernel = {key: np.concatenate([part[0][key] for part in parts]) for key in keys}
+
+    expected = [scalar_residuals(state_for_index(dim, seed, idx)) for idx in range(lo, hi)]
+    expected_p_e = [exp[1] for exp in expected]
+    assert np.array_equal(p_e, expected_p_e)
+    for key in keys:
+        assert np.array_equal(kernel[key], [exp[0][key] for exp in expected]), key
+
+    # the sweep over the same range reports exactly the per-sample extremes
+    worst, p_min, p_max = ensemble._sweep_range(dim, seed, lo, hi)
+    assert worst == {key: max(exp[0][key] for exp in expected) for key in keys}
+    assert (p_min, p_max) == (min(expected_p_e), max(expected_p_e))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("idx", [0, 1, 2**32, 2**63, 2**64 - 1])
+def test_reused_generator_matches_fresh_philox(dim, idx):
+    words = 2 * dim * dim
+    counter = np.array([0, 0, 0, idx], dtype=np.uint64)
+    fresh = np.random.Philox(key=99, counter=counter).random_raw(words)
+    lo = max(idx - 1, 0)
+    rows = ensemble._raw_words(99, lo, idx + 1, words)
+    assert np.array_equal(rows[idx - lo], fresh)
+    amps = ensemble._haar_rows(dim, 99, lo, idx + 1)[idx - lo]
+    assert np.array_equal(amps, state_for_index(dim, 99, idx).amplitudes)
+
+
+def test_nan_sample_fails_the_sweep(monkeypatch):
+    real_chunk = ensemble._chunk_values
+
+    def poisoned(local_dim, seed, lo, hi):
+        residuals, p_e = real_chunk(local_dim, seed, lo, hi)
+        if lo <= 70 < hi:
+            row = 70 - lo
+            residuals["roundtrip"][row] = np.nan
+            p_e[row] = np.nan
+        return residuals, p_e
+
+    monkeypatch.setattr(ensemble, "_chunk_values", poisoned)
+    for workers in (1, 2):
+        rep = property_sweep(3 * CHUNK, 2, seed=3, workers=workers)
+        assert np.isnan(rep.worst_residuals["roundtrip"])
+        assert np.isnan(rep.p_e_min) and np.isnan(rep.p_e_max)
+        assert not rep.passed
+
+
+@pytest.mark.parametrize(
+    "gate, value",
+    [
+        # trips only on the samples whose two routes differ in the last bit
+        ("ORACLE_CONSISTENCY_TOL", 0.0),
+        ("PURITY_GATE_TOL", -1.0),
+        ("DET_CLAMP_WINDOW", -1.0),
+    ],
+)
+def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, gate, value):
+    monkeypatch.setattr(measure, gate, value)
+    monkeypatch.setattr(ensemble, gate, value)
+    for idx in range(3 * CHUNK):
+        try:
+            analyze(state_for_index(2, 21, idx))
+        except PurityViolation as exc:
+            first = str(exc)
+            break
+    else:
+        pytest.fail("no sample failed the patched gate")
+    for workers in (1, 3):
+        with pytest.raises(PurityViolation) as caught:
+            property_sweep(3 * CHUNK, 2, seed=21, workers=workers)
+        assert str(caught.value) == first
 
 
 def test_sweep_single_sample_passes():

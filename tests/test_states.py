@@ -46,6 +46,12 @@ def test_zero_vector_rejected():
         state_from_amplitudes([0, 0, 0, 0], 2, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)])
+def test_non_finite_amplitudes_rejected(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        state_from_amplitudes([bad, 0.5, 0.5, 0.5], 2, 2)
+
+
 def test_wrong_length_rejected():
     with pytest.raises(ValueError, match="expected 4 amplitudes"):
         state_from_amplitudes([1, 0, 0], 2, 2)
