@@ -14,6 +14,15 @@ operation over the chunk. Each stacked operation is chosen so that it
 rounds exactly like its single-state counterpart, which makes every
 per-sample value, and so the sweep report, bit-identical to the
 single-state route.
+
+The Bloch projections and the round trip's expansion go through the same
+sparse kernel as ``decompose`` and ``reconstruct`` (``bloch._project`` and
+``bloch._expand``, see the rules in ``bloch``); a single state is its stack
+of one. Two more rules keep the stacked values exact: the round trip's
+largest deviation is ``np.abs`` of an assembled complex array (``np.hypot``
+of the parts rounds differently on some builds), and u, v and beta keep the
+C-ordered layout of the dense contraction, since a strided beta changes how
+``(beta * beta).sum`` rounds.
 """
 
 from __future__ import annotations
@@ -23,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import IMAG_RESIDUE_TOL, LOCAL_NORM_SLACK, _operator_stacks, _weights
+from .bloch import (
+    IMAG_RESIDUE_TOL,
+    LOCAL_NORM_SLACK,
+    _expand,
+    _project,
+    _scaled,
+)
 from .generators import basis_for
 from .hyperbolic import _ARTANH_SAFE_MARGIN
 from .linalg import HERMITICITY_TOL
@@ -194,21 +209,15 @@ def _chunk_values(
     failed = np.abs(pur - 1.0) > PURITY_GATE_TOL
 
     # decompose: trace projections, imaginary residue, local norms
-    first, second, pair, full_ident = _operator_stacks(basis_for(n))
-    u_raw = np.einsum("aij,nji->na", first, rho)
-    v_raw = np.einsum("aij,nji->na", second, rho)
-    beta_raw = np.einsum("abij,nji->nab", pair, rho)
-    failed |= np.abs(u_raw.imag).max(axis=1) > IMAG_RESIDUE_TOL
-    failed |= np.abs(v_raw.imag).max(axis=1) > IMAG_RESIDUE_TOL
-    failed |= np.abs(beta_raw.imag).max(axis=(1, 2)) > IMAG_RESIDUE_TOL
+    basis = basis_for(n)
+    u_raw, v_raw, beta_raw, residues = _project(rho, basis)
+    failed |= residues > IMAG_RESIDUE_TOL
+    u, v, beta = _scaled(u_raw, v_raw, beta_raw, n)
+    del u_raw, v_raw, beta_raw
     if n == 2:
-        u, v, beta = u_raw.real, v_raw.real, beta_raw.real
         u_norm = _real_norms(u)
         failed |= u_norm > 1.0 + LOCAL_NORM_SLACK
         failed |= _real_norms(v) > 1.0 + LOCAL_NORM_SLACK
-    else:
-        s = np.sqrt(3.0) / 2.0
-        u, v, beta = s * u_raw.real, s * v_raw.real, 1.5 * beta_raw.real
 
     # alpha, its determinant and the clamp on its sign
     alpha = np.empty((count, dim, dim))
@@ -217,18 +226,15 @@ def _chunk_values(
     alpha[:, 1:, 0] = u
     alpha[:, 1:, 1:] = beta
     d_raw = -np.linalg.det(alpha)
+    del alpha
     failed |= d_raw < -DET_CLAMP_WINDOW
     # numpy's vectorized power rounds differently from the scalar pow
     p_e = np.array([(0.0 if d < 0.0 else d) ** 0.25 for d in d_raw.tolist()])
 
     # the round trip: reconstruct (u, v, beta) and compare with rho
-    pref, w_local, w_pair = _weights(n)
-    back = full_ident + w_local * (
-        np.einsum("na,aij->nij", u, first) + np.einsum("na,aij->nij", v, second)
-    )
-    back = back + w_pair * np.einsum("nab,abij->nij", beta, pair)
+    back = _expand(u, v, beta, basis)
     residuals = {
-        "roundtrip": np.abs(pref * back - rho).max(axis=(1, 2)),
+        "roundtrip": np.abs(back - rho).max(axis=(1, 2)),
         "alpha_det_negativity": _clamp_low(-d_raw),
     }
 

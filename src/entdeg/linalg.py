@@ -52,15 +52,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(am, bm)
 
 
-def trace_product(a, b) -> complex:
-    """tr(a @ b) without forming the product, i.e. sum_ij a[i,j] b[j,i]."""
-    am = _as_square(a, "a")
-    bm = _as_square(b, "b")
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return complex(np.einsum("ij,ji->", am, bm))
-
-
 def det_real(m) -> float:
     """Determinant of a real square matrix (LU with partial pivoting).
 

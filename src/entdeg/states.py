@@ -24,6 +24,10 @@ DENSITY_EIGVAL_FLOOR = -1e-10
 
 PURITY_GATE_TOL = 1e-10
 
+# norms whose squares are normal doubles with room to spare; every input of
+# unit scale stays on the plain path
+NORM_RANGE = (2.0 ** -400, 2.0 ** 400)
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -76,13 +80,22 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
         raise ValueError(
             f"expected {dim_a * dim_b} amplitudes for dims ({dim_a}, {dim_b}), got {a.size}"
         )
-    norm = float(np.linalg.norm(a))
-    # a NaN or infinite part makes the norm non-finite; only then look closer
-    if not math.isfinite(norm) and not np.isfinite(a).all():
-        raise ValueError("amplitudes must be finite, got NaN or infinity")
-    if norm == 0.0:
-        raise ValueError("state vector is identically zero")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
     warned = abs(norm - 1.0) > NORM_WARN_TOL
+    # Outside this range the squared amplitudes lose bits or overflow (and a
+    # NaN or infinite part makes the norm non-finite): look closer, and scale
+    # by the power of two that brings max |a| to [1/2, 1), which is exact.
+    if not NORM_RANGE[0] <= norm <= NORM_RANGE[1]:
+        if not np.isfinite(a).all():
+            raise ValueError("amplitudes must be finite, got NaN or infinity")
+        peak = float(np.abs(a).max())
+        if peak == 0.0:
+            raise ValueError("state vector is identically zero")
+        shift = -math.frexp(peak)[1]
+        # in two halves, since 2^shift alone overflows for subnormal input
+        a = a * math.ldexp(1.0, shift // 2) * math.ldexp(1.0, shift - shift // 2)
+        norm = float(np.linalg.norm(a))
     a = a / norm
     a.setflags(write=False)
     return StateVector(dim_a, dim_b, a, normalization_warning=warned)

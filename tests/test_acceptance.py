@@ -5,6 +5,7 @@ details). Criteria 3 and 4 share one seeded 10^4-sample sweep.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -155,11 +156,17 @@ def test_criterion_6_hyperbolic(qubit_sweep):
 def test_criterion_7_verify_determinism(tmp_path):
     args = ["verify", "--samples", "400", "--dim", "2", "--seed", "42"]
 
+    # run the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["entdeg"].__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
     def run(extra):
         proc = subprocess.run(
             [sys.executable, "-m", "entdeg", *args, *extra],
             capture_output=True,
             timeout=120,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout

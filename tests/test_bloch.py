@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from entdeg import bloch, ensemble
 from entdeg.bloch import BlochForm, bloch_of_reduced, decompose, reconstruct
 from entdeg.generators import gellmann_set, pauli_set
 from entdeg.states import density_from_state, partial_trace, state_from_amplitudes
@@ -147,3 +148,98 @@ def test_pure_qubit_u_equals_v(amps):
     rho = density_from_state(state_from_amplitudes(amps, 2, 2))
     bf = decompose(rho, pauli_set())
     assert abs(np.linalg.norm(bf.u) - np.linalg.norm(bf.v)) <= 1e-10
+
+
+# The dense route that the sparse kernel replaced: contract rho against the
+# full Kronecker stacks g_a x 1, 1 x g_b, g_a x g_b and sum the expansion
+# with einsum. The kernel must reproduce it bit for bit.
+
+
+def _dense_stacks(basis):
+    gens, ident = basis.generators, basis.identity
+    first = np.stack([np.kron(g, ident) for g in gens])
+    second = np.stack([np.kron(ident, g) for g in gens])
+    pair = np.stack([np.stack([np.kron(gi, gj) for gj in gens]) for gi in gens])
+    return first, second, pair
+
+
+def _dense_project(rho, basis):
+    first, second, pair = _dense_stacks(basis)
+    return (
+        np.einsum("aij,nji->na", first, rho),
+        np.einsum("aij,nji->na", second, rho),
+        np.einsum("abij,nji->nab", pair, rho),
+    )
+
+
+def _dense_expand(u, v, beta, basis):
+    first, second, pair = _dense_stacks(basis)
+    pref, w_local, w_pair = bloch._weights(basis.dim)
+    back = np.kron(basis.identity, basis.identity) + w_local * (
+        np.einsum("na,aij->nij", u, first) + np.einsum("na,aij->nij", v, second)
+    )
+    back = back + w_pair * np.einsum("nab,abij->nij", beta, pair)
+    return pref * back
+
+
+def _haar_stack(n, count, seed):
+    psi = ensemble._haar_rows(n, seed, 1000, 1000 + count)
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
+@pytest.mark.parametrize("basis", [pauli_set(), gellmann_set()])
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_sparse_kernel_equals_dense_einsums(basis, count):
+    for seed in range(3):
+        rho = _haar_stack(basis.dim, count, seed)
+        if seed == 2:
+            # a basis state with every zero negative: the dense sums start
+            # from +0.0, so all-zero traces come out as +0.0 regardless
+            n = basis.dim
+            one = density_from_state(state_from_amplitudes(np.eye(n * n)[1], n, n))
+            rho = np.empty((count, *one.shape), dtype=complex)
+            rho.real = np.where(one.real == 0.0, -0.0, one.real)
+            rho.imag = -0.0
+        dense = _dense_project(rho, basis)
+        *sparse, residues = bloch._project(rho, basis)
+        for want, got in zip(dense, sparse):
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert np.array_equal(got, want)
+            # the sign of zero too: analyze prints u and v
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(
+            residues,
+            np.maximum(
+                np.maximum(np.abs(dense[0].imag).max(axis=1), np.abs(dense[1].imag).max(axis=1)),
+                np.abs(dense[2].imag).max(axis=(1, 2)),
+            ),
+        )
+        u, v, beta = bloch._scaled(*dense, basis.dim)
+        want = _dense_expand(u, v, beta, basis)
+        got = bloch._expand(u, v, beta, basis)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.abs(got - rho), np.abs(want - rho))
+
+
+@pytest.mark.parametrize("basis", [pauli_set(), gellmann_set()])
+def test_single_state_routes_equal_dense_einsums(basis):
+    rho = _haar_stack(basis.dim, 5, 11)
+    for one in rho:
+        bf = decompose(one, basis)
+        u_raw, v_raw, beta_raw = (part[0] for part in _dense_project(one[None], basis))
+        want_u, want_v, want_beta = bloch._scaled(u_raw, v_raw, beta_raw, basis.dim)
+        assert np.array_equal(bf.u, want_u) and np.array_equal(bf.v, want_v)
+        assert np.array_equal(bf.beta, want_beta)
+        want = _dense_expand(bf.u[None], bf.v[None], bf.beta[None], basis)[0]
+        assert np.array_equal(reconstruct(bf, basis), want)
+
+
+@pytest.mark.parametrize("basis, nonzero", [(pauli_set(), 60), (gellmann_set(), 391)])
+def test_term_tables_hold_the_dense_nonzeros(basis, nonzero):
+    assert sum(np.count_nonzero(stack) for stack in _dense_stacks(basis)) == nonzero
+    tables = bloch._tables(basis)
+    # every nonzero entry is one term of the expansion, and one term each of
+    # the real and the imaginary part of its projection
+    expansion = (tables.local_a, tables.local_b, tables.pair)
+    assert sum(np.count_nonzero(terms.coef) for terms in expansion) == nonzero
+    assert np.count_nonzero(tables.project.coef) == 2 * nonzero

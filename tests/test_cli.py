@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,18 @@ def test_analyze_rejects_non_finite_amplitudes(tmp_path, capsys, token):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
+def test_analyze_bell_pair_at_extreme_scale(tmp_path, capsys, scale):
+    # once rejected as zero, failed the purity gate, or overflowed
+    path = write_state(tmp_path, "scaled.json", (2, 2), [scale, 0j, 0j, scale])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["analyze", "--input", path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["p_e_det"] == 1.0
+    assert data["normalization_warning"] is True
 
 
 @pytest.mark.parametrize("dims", [[2.7, 2], [2, 2.0], [True, 2], ["2", 2]])

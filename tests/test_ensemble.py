@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,24 @@ def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, gate,
         with pytest.raises(PurityViolation) as caught:
             property_sweep(3 * CHUNK, 2, seed=21, workers=workers)
         assert str(caught.value) == first
+
+
+def test_qutrit_chunk_working_set_stays_small():
+    # a qutrit chunk of the dense Kronecker route peaked at about 500 KiB of
+    # numpy allocations; a larger working set shows up as peak RSS in verify
+    ensemble._chunk_values(3, 1, 0, CHUNK)  # term tables and first-use costs
+    was_tracing = tracemalloc.is_tracing()
+    if was_tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        ensemble._chunk_values(3, 2, 0, CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 640 * 1024
 
 
 def test_sweep_single_sample_passes():

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entdeg.generators import basis_for, gellmann_set, pauli_set
-from entdeg.linalg import trace_product
 
 
 def test_pauli_matrices_literal():
@@ -33,7 +32,7 @@ def test_orthonormality_all_pairs(basis):
     for i, gi in enumerate(gens):
         for j, gj in enumerate(gens):
             expected = 2.0 if i == j else 0.0
-            assert trace_product(gi, gj) == pytest.approx(expected, abs=1e-15)
+            assert np.trace(gi @ gj) == pytest.approx(expected, abs=1e-15)
 
 
 def test_gellmann_count_and_order():

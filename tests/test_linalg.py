@@ -4,10 +4,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from entdeg.linalg import det_real, herm_eigvals, kron, trace_product
+from entdeg.linalg import det_real, herm_eigvals, kron
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
-S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
@@ -31,25 +30,6 @@ def test_kron_overflow_rejected():
         kron(np.eye(4), np.eye(4))
     with pytest.raises(ValueError, match="dimension overflow"):
         kron(np.eye(10), np.eye(1))
-
-
-def test_trace_product_values():
-    assert trace_product(I2, I2) == pytest.approx(2)
-    assert trace_product(S1, S1) == pytest.approx(2)
-    assert trace_product(S1, S2) == pytest.approx(0)
-
-
-def test_trace_product_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        trace_product(I2, np.eye(3))
-
-
-def test_trace_product_equals_trace_of_product():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert trace_product(a, b) == pytest.approx(np.trace(a @ b))
 
 
 def test_det_identity():

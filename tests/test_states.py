@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -50,6 +52,30 @@ def test_zero_vector_rejected():
 def test_non_finite_amplitudes_rejected(bad):
     with pytest.raises(ValueError, match="must be finite"):
         state_from_amplitudes([bad, 0.5, 0.5, 0.5], 2, 2)
+
+
+@pytest.mark.parametrize(
+    "raw, unit",
+    [
+        # squared amplitudes that underflow, turn subnormal or overflow
+        (np.array([3, 4j, 0, -12]) * (scale / 13), np.array([3, 4j, 0, -12]) / 13)
+        for scale in (1e-200, 1e-160, 1e200, 1e300)
+    ]
+    + [(np.array([5e-324, 0, 0, 5e-324]), np.array([1, 0, 0, 1]) / np.sqrt(2))],
+)
+def test_extreme_scale_is_rescaled(raw, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = state_from_amplitudes(raw, 2, 2)
+    assert psi.normalization_warning
+    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-15)
+    assert_allclose(psi.amplitudes, unit, atol=1e-15)
+
+
+def test_unit_scale_input_is_divided_by_its_norm():
+    raw = np.array([0.3 + 0.1j, -0.5, 0.2j, 0.7, 0.1, 0.0, -0.2j, 0.4, 0.05])
+    psi = state_from_amplitudes(raw, 3, 3)
+    assert np.array_equal(psi.amplitudes, raw / np.linalg.norm(raw))
 
 
 def test_wrong_length_rejected():
