@@ -290,12 +290,17 @@ def decompose(rho, basis: GeneratorSet) -> BlochForm:
     """Extract (u, v, beta) from a joint density matrix by trace projection.
 
     The projecting traces must be real to within ``IMAG_RESIDUE_TOL``; a
-    larger imaginary residue signals a non-Hermitian input and raises.
+    larger imaginary residue signals a non-Hermitian input and raises. A
+    NaN or infinite entry raises too, since the ``x > tol`` gates below let
+    NaN through.
     """
     n = basis.dim
     a = np.asarray(rho, dtype=complex)
     if a.shape != (n * n, n * n):
         raise ValueError(f"rho has shape {a.shape}, expected {(n * n, n * n)}")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"rho[{i}, {j}] = {a[i, j]} is not finite")
     u_raw, v_raw, beta_raw, residues = _project(np.ascontiguousarray(a)[None], basis)
 
     residue = float(residues[0])

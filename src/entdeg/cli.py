@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,18 +39,15 @@ def round15(x: float) -> float:
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, float):
+        return round15(obj)
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(val) for val in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int,)):
-        return int(obj)
-    if isinstance(obj, float):
-        return round15(obj)
+    if dataclasses.is_dataclass(obj):
+        # read the fields in place: dataclasses.asdict would deep-copy them first
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -148,7 +146,13 @@ def cmd_examples(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    ``parse_args`` leaves the parser as it found it, so every ``main`` call
+    in a process can reuse one tree instead of paying for a new one.
+    """
     parser = argparse.ArgumentParser(
         prog="entdeg",
         description="Degree of entanglement of pure two-qubit and two-qutrit states.",

@@ -57,6 +57,20 @@ def test_decompose_rejects_non_hermitian():
         decompose(bad, pauli_set())
 
 
+@pytest.mark.parametrize(
+    "n, entry, value, text",
+    [(2, (0, 1), np.nan, r"rho\[0, 1\] = \(nan\+0j\) is not finite"),
+     (3, (0, 0), np.inf, r"rho\[0, 0\] = \(inf\+0j\) is not finite")],
+    ids=["qubit-nan-real-part", "qutrit-inf-diagonal"],
+)
+def test_decompose_rejects_non_finite_entries(n, entry, value, text):
+    # NaN slips past every `x > tol` gate; inf can leave the residue finite
+    rho = np.eye(n * n, dtype=complex) / (n * n)
+    rho[entry] = value
+    with pytest.raises(ValueError, match=text):
+        decompose(rho, pauli_set() if n == 2 else gellmann_set())
+
+
 def test_decompose_rejects_overlong_bloch_vector():
     # Hermitian with unit trace but not a state: |v| = 3
     fake = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)

@@ -205,16 +205,77 @@ def test_examples_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_module_entry_point():
+def test_repeated_main_calls_repeat_their_first_output(tmp_path, capsys):
+    # one process, mixed order, one shared parser: every call prints and
+    # returns what its first run did
+    qubit = write_state(tmp_path, "qubit.json", (2, 2), [S3, S3, 0j, S3])
+    qutrit = write_state(
+        tmp_path, "qutrit.json", (3, 3), [S3, 0j, 0j, 0j, S3, 0j, 0j, 0j, S3]
+    )
+    calls = [
+        (["analyze", "--input", qubit, "--format", "json"], 0),
+        (["verify", "--samples", "30", "--dim", "3", "--seed", "4"], 0),
+        (["analyze", "--input", qutrit, "--format", "table"], 0),
+        (["verify", "--dim", "5"], 2),
+        (["analyze", "--input", qutrit, "--format", "json"], 0),
+        (["examples"], 0),
+        (["analyze", "--input", str(tmp_path / "none.json")], 2),
+        (["verify", "--samples", "30", "--dim", "2", "--seed", "4"], 0),
+        (["analyze", "--input", qubit, "--format", "table"], 0),
+    ]
+    first = {}
+    for argv, code in calls + calls[1::2] + calls[::-2] + calls[:1]:
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code
+        assert first.setdefault(tuple(argv), (out, err)) == (out, err)
+    assert cli.build_parser.cache_info().misses <= 1
+
+
+def _run_python(*args):
     # run the package this test imported, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "entdeg", "examples"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+COUNT_PARSERS = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import entdeg.cli as cli
+counts = [len(built)]
+for argv in (["examples"], ["verify", "--samples", "3"], ["examples"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_parser_built_on_first_main_call_only():
+    proc = _run_python("-c", COUNT_PARSERS)
+    assert proc.returncode == 0, proc.stderr
+    at_import, *after_calls = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert after_calls[0] > 0
+    assert after_calls == after_calls[:1] * 3
+
+
+def test_module_entry_point():
+    proc = _run_python("-m", "entdeg", "examples")
     assert proc.returncode == 0
     assert "worst deviation" in proc.stdout

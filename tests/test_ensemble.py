@@ -68,6 +68,14 @@ def test_haar_reduced_purity_matches_known_average():
     assert total / n == pytest.approx(0.8, abs=0.01)
 
 
+def test_haar_mean_concurrence_matches_3pi_over_16():
+    # E[2|ad - bc|] = 3 pi / 16 for Haar two-qubit states
+    amps = ensemble._haar_rows(2, 0, 0, 20000)
+    conc = 2 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
+    stderr = conc.std(ddof=1) / np.sqrt(len(conc))
+    assert abs(conc.mean() - 3 * np.pi / 16) <= 5 * stderr
+
+
 def test_state_for_index_is_stable():
     one = state_for_index(2, 42, 17)
     two = state_for_index(2, 42, 17)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entdeg.bloch import BlochForm, decompose
+from entdeg.ensemble import state_for_index
 from entdeg.generators import gellmann_set, pauli_set
 from entdeg.measure import (
     NEAR_PRODUCT_FLOOR,
@@ -190,6 +191,48 @@ def test_analyze_qutrit_fields():
     assert rep.constraint_residuals is None
     assert not rep.oracle_checked
     assert len(rep.u) == 8
+
+
+def _qutrit_closed_form(psi):
+    """(3^7/2) e3^2 (e2 + 9 e3) in the Schmidt weights of a qutrit pair."""
+    lam = np.linalg.svd(psi.amplitudes.reshape(3, 3), compute_uv=False) ** 2
+    e2 = lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2]
+    e3 = lam[0] * lam[1] * lam[2]
+    return 3**7 / 2 * e3**2 * (e2 + 9 * e3)
+
+
+def _schmidt_rank_2_qutrit(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    m = m @ (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+    return state_from_amplitudes(m.ravel(), 3, 3)
+
+
+def test_qutrit_det_equals_schmidt_closed_form():
+    # -det alpha is a local-unitary invariant, hence a symmetric polynomial
+    # in the Schmidt weights; a test-only oracle, analyze does not use it
+    for idx in range(300):
+        psi = state_for_index(3, 11, idx)
+        rep = analyze(psi)
+        d = _qutrit_closed_form(psi)
+        assert abs(rep.alpha_det - d) <= 1e-14, idx
+        assert abs(rep.p_e_det - d**0.25) <= 1e-14, idx
+    assert _qutrit_closed_form(QUTRIT_MAX) == pytest.approx(1.0, abs=1e-14)
+    assert analyze(QUTRIT_MAX).alpha_det == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [state_from_amplitudes([1, 0, 0, 0, 1, 0, 0, 0, 0], 3, 3)]
+    + [_schmidt_rank_2_qutrit(seed) for seed in range(3)],
+    ids=["bell-pair-in-qutrits", "rank-2-a", "rank-2-b", "rank-2-c"],
+)
+def test_qutrit_det_blind_to_schmidt_rank_2(psi):
+    # e3 = 0 at Schmidt rank 2, so P_E reads 0 for these entangled states
+    assert _qutrit_closed_form(psi) <= 1e-30
+    rep = analyze(psi)
+    assert abs(rep.alpha_det) <= 1e-30
+    assert rep.p_e_det <= 1e-14
 
 
 def test_analyze_purity_gate():
