@@ -8,8 +8,8 @@ State files are UTF-8 JSON with two fields, for instance
 
     {"dims": [2, 2], "amplitudes": [[0.577, 0], [0.577, 0], [0, 0], [0.577, 0]]}
 
-where each amplitude is a [real, imaginary] pair in the |i, j> ordering
-with the first subsystem as the high-order index.
+where each amplitude is a [real, imaginary] pair of JSON numbers in the
+|i, j> ordering with the first subsystem as the high-order index.
 """
 
 from __future__ import annotations
@@ -106,10 +106,16 @@ def _load_state(path: str):
     # bool is an int subclass, and int() would truncate 2.7 to 2
     if not all(type(d) is int for d in dims):
         raise ValueError(f"'dims' must be two integers, got {dims}")
+    if not isinstance(raw, list):
+        raise ValueError("'amplitudes' must be a list of [re, im] pairs")
+    for k, pair in enumerate(raw):
+        # two-character strings and bools would unpack and convert as well
+        if type(pair) is not list or len(pair) != 2 or {type(x) for x in pair} - {int, float}:
+            raise ValueError(f"'amplitudes' entry {k} is not a [re, im] pair of numbers: {pair!r}")
     try:
         amps = [complex(float(re), float(im)) for re, im in raw]
-    except (TypeError, ValueError):
-        raise ValueError("'amplitudes' must be a list of [re, im] pairs") from None
+    except OverflowError:
+        raise ValueError("'amplitudes' holds a number too large for a float") from None
     return state_from_amplitudes(amps, dims[0], dims[1])
 
 

@@ -7,22 +7,13 @@ word, so per-sample streams cannot overlap), and the Gaussian variates are
 produced by an explicit Box-Muller transform on the raw 64-bit output, so
 the draw sequence is pinned by this file rather than by library internals.
 
-The sweep evaluates samples ``CHUNK`` at a time: every stage of the
-single-state pipeline (``state_for_index``, ``analyze``, the decompose /
-reconstruct round trip, ``degree_hyperbolic``) runs as one stacked numpy
-operation over the chunk. Each stacked operation is chosen so that it
-rounds exactly like its single-state counterpart, which makes every
-per-sample value, and so the sweep report, bit-identical to the
-single-state route.
-
-The Bloch projections and the round trip's expansion go through the same
-sparse kernel as ``decompose`` and ``reconstruct`` (``bloch._project`` and
-``bloch._expand``, see the rules in ``bloch``); a single state is its stack
-of one. Two more rules keep the stacked values exact: the round trip's
-largest deviation is ``np.abs`` of an assembled complex array (``np.hypot``
-of the parts rounds differently on some builds), and u, v and beta keep the
-C-ordered layout of the dense contraction, since a strided beta changes how
-``(beta * beta).sum`` rounds.
+The sweep evaluates samples ``CHUNK`` at a time. A chunk's amplitudes go
+through ``measure._analyze_stack``, the stacked kernel of which ``analyze``
+is row 0 of a stack of one, so every report field, oracle, identity and
+gate is the single-state one bit for bit. The sweep adds only what
+``analyze`` does not do: the round trip through the expansion
+(``bloch._expand``, the kernel of ``reconstruct``), the hyperbolic route,
+the comparison with sqrt(1 - |u|^2) and the reductions over the chunk.
 """
 
 from __future__ import annotations
@@ -32,24 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    IMAG_RESIDUE_TOL,
-    LOCAL_NORM_SLACK,
-    _expand,
-    _project,
-    _scaled,
-)
+from .bloch import _expand
 from .generators import basis_for
 from .hyperbolic import _ARTANH_SAFE_MARGIN
-from .linalg import HERMITICITY_TOL
-from .measure import (
-    DET_CLAMP_WINDOW,
-    NEAR_PRODUCT_FLOOR,
-    ORACLE_CONSISTENCY_TOL,
-    _signed_cofactors_3x3,
-    analyze,
-)
-from .states import PURITY_GATE_TOL, StateVector, state_from_amplitudes
+from .measure import _analyze_stack, _clamp_low, analyze
+from .states import StateVector, state_from_amplitudes
 
 _U64_SHIFT = np.uint64(11)
 _TWO_NEG53 = 2.0 ** -53
@@ -164,29 +142,6 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
     return amps / np.sqrt(sq[:, :, 0])
 
 
-def _real_norms(vecs: np.ndarray) -> np.ndarray:
-    """Row norms rounded as ``np.linalg.norm``, which dots a contiguous copy."""
-    x = np.ascontiguousarray(vecs)
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
-def _clamp_low(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``max(0.0, x)`` with Python's semantics (NaN and -0.0 give 0.0)."""
-    return np.where(x > 0.0, x, 0.0)
-
-
-def _raise_like_single_state(local_dim: int, seed: int, idx: int) -> None:
-    """Re-run a sample that failed a stacked gate through ``analyze``.
-
-    Every gate of the per-state route fires inside ``analyze`` (the round
-    trip's ``decompose`` and the bound in ``degree_hyperbolic`` repeat
-    checks it has made on the same values), so this raises the exception,
-    message included, that the per-state sweep raises for the sample.
-    """
-    analyze(state_for_index(local_dim, seed, idx))
-    raise AssertionError(f"sample {idx} failed a stacked gate but passes analyze")
-
-
 def _chunk_values(
     local_dim: int, seed: int, lo: int, hi: int
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -195,105 +150,32 @@ def _chunk_values(
     Entry ``idx - lo`` of every array equals, bit for bit, what the
     single-state route gives for ``state_for_index(local_dim, seed, idx)``:
     ``analyze`` plus the decompose / reconstruct round trip, and at dim 2
-    ``degree_hyperbolic``. A sample failing any of that route's gates
+    ``degree_hyperbolic``. A sample failing any of ``analyze``'s gates
     raises the same exception; the lowest failing index wins.
     """
     n = local_dim
-    dim = n * n
-    count = hi - lo
-    psi = _haar_rows(n, seed, lo, hi)
-
-    # analyze: density matrix and purity gate
-    rho = psi[:, :, None] * psi.conj()[:, None, :]
-    pur = np.einsum("nij,nji->n", rho, rho).real
-    failed = np.abs(pur - 1.0) > PURITY_GATE_TOL
-
-    # decompose: trace projections, imaginary residue, local norms
-    basis = basis_for(n)
-    u_raw, v_raw, beta_raw, residues = _project(rho, basis)
-    failed |= residues > IMAG_RESIDUE_TOL
-    u, v, beta = _scaled(u_raw, v_raw, beta_raw, n)
-    del u_raw, v_raw, beta_raw
-    if n == 2:
-        u_norm = _real_norms(u)
-        failed |= u_norm > 1.0 + LOCAL_NORM_SLACK
-        failed |= _real_norms(v) > 1.0 + LOCAL_NORM_SLACK
-
-    # alpha, its determinant and the clamp on its sign
-    alpha = np.empty((count, dim, dim))
-    alpha[:, 0, 0] = 1.0
-    alpha[:, 0, 1:] = v
-    alpha[:, 1:, 0] = u
-    alpha[:, 1:, 1:] = beta
-    d_raw = -np.linalg.det(alpha)
-    del alpha
-    failed |= d_raw < -DET_CLAMP_WINDOW
-    # numpy's vectorized power rounds differently from the scalar pow
-    p_e = np.array([(0.0 if d < 0.0 else d) ** 0.25 for d in d_raw.tolist()])
-
-    # the round trip: reconstruct (u, v, beta) and compare with rho
-    back = _expand(u, v, beta, basis)
-    residuals = {
-        "roundtrip": np.abs(back - rho).max(axis=(1, 2)),
-        "alpha_det_negativity": _clamp_low(-d_raw),
-    }
-
-    if n == 2:
-        residuals.update(_qubit_residuals(psi, rho, u, v, beta, u_norm, p_e, failed))
+    s = _analyze_stack(_haar_rows(n, seed, lo, hi), n)
+    failed = np.logical_or.reduce([mask for mask, _ in s.gates])
     if failed.any():
-        _raise_like_single_state(n, seed, lo + int(np.argmax(failed)))
-    return residuals, p_e
+        # analyze runs the same gates on the same values, so it raises the
+        # exception, message included, of the lowest failing sample
+        analyze(state_for_index(n, seed, lo + int(np.argmax(failed))))
+        raise AssertionError("a sample failed a stacked gate but passes analyze")
 
-
-def _qubit_residuals(psi, rho, u, v, beta, u_norm, p_e, failed):
-    """The oracles, the six identities and the hyperbolic route, stacked.
-
-    Samples failing analyze's qubit-only gates are marked in ``failed``.
-    """
-    # schmidt_coeffs: eigenvalues of the reduced density matrix
-    count = len(psi)
-    rho_a = np.einsum("nijkj->nik", rho.reshape(count, 2, 2, 2, 2))
-    asym = np.abs(rho_a - rho_a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    failed |= asym > HERMITICITY_TOL
-    eig = np.linalg.eigvalsh(rho_a)
-    k1 = np.sqrt(np.where(0.0 > eig[:, 1], 0.0, eig[:, 1]))
-    k2 = np.sqrt(np.where(0.0 > eig[:, 0], 0.0, eig[:, 0]))
-    # degree_schmidt re-checks the same sum at the looser 1e-10
-    failed |= np.abs(k1 * k1 + k2 * k2 - 1.0) > 1e-12
-    p_e_schmidt = 2.0 * k1 * k2
-
-    # concurrence 2 |ad - bc|, with the complex products written out in real
-    # arithmetic as numpy's scalar complex multiply performs them
-    ar, ai = psi.real.T, psi.imag.T
-    det_re = (ar[0] * ar[3] - ai[0] * ai[3]) - (ar[1] * ar[2] - ai[1] * ai[2])
-    det_im = (ar[0] * ai[3] + ai[0] * ar[3]) - (ar[1] * ai[2] + ai[1] * ar[2])
-    conc = 2.0 * np.hypot(det_re, det_im)
-
-    # purity_constraints_report
-    un2 = (u[:, None, :] @ u[:, :, None])[:, 0, 0]
-    vn2 = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-    outer = u[:, :, None] * v[:, None, :]
-    cof = _signed_cofactors_3x3(beta.transpose(1, 2, 0)).transpose(2, 0, 1)
+    back = _expand(s.u, s.v, s.beta, basis_for(n))
+    # np.abs of the complex difference, as ``reconstruct(...) - rho`` is taken
+    # (np.hypot of the parts rounds differently on some builds)
     residuals = {
-        "beta_v_eq_u": np.abs(np.einsum("nij,nj->ni", beta, v) - u).max(axis=1),
-        "beta_t_u_eq_v": np.abs(np.einsum("nji,nj->ni", beta, u) - v).max(axis=1),
-        "beta_sq_sum": np.abs(
-            (beta * beta).reshape(count, 9).sum(axis=1) - (3.0 - un2 - vn2)
-        ),
-        "beta_cofactor": np.abs(beta - (outer - cof)).max(axis=(1, 2)),
-        "u_eq_v": np.abs(np.sqrt(un2) - np.sqrt(vn2)),
-        "det_beta_identity": np.abs(-np.linalg.det(beta) - (1.0 - un2)),
+        "roundtrip": np.abs(back - s.rho).max(axis=(1, 2)),
+        "alpha_det_negativity": _clamp_low(-s.alpha_det),
     }
+    if n != 2:
+        return residuals, s.p_e
 
-    # analyze's consistency gate between the determinant and sqrt(1 - |u|^2)
-    from_u = np.sqrt(_clamp_low(1.0 - u_norm * u_norm))
-    larger = np.where(from_u > p_e, from_u, p_e)
-    failed |= (np.abs(p_e - from_u) > ORACLE_CONSISTENCY_TOL) & (larger > NEAR_PRODUCT_FLOOR)
-    # the sweep's own comparison squares with Python's pow, like the scalar code
-    from_u_pow = np.sqrt(_clamp_low(np.array([1.0 - x ** 2 for x in u_norm.tolist()])))
-
-    # degree_hyperbolic; its |u| bound is the |u| gate of decompose, which
-    # has already been applied to the same norm
+    p_e, u_norm = s.p_e, s.u_norm
+    # the sweep's comparison squares with Python's pow, like the scalar code
+    from_u = np.sqrt(_clamp_low(np.array([1.0 - x ** 2 for x in u_norm.tolist()])))
+    # degree_hyperbolic; its |u| bound is analyze's |u| gate on the same norm
     near = u_norm > 1.0 - _ARTANH_SAFE_MARGIN
     inside = np.where(u_norm < 1.0, u_norm, 1.0)
     hyperbolic = np.where(
@@ -305,12 +187,12 @@ def _qubit_residuals(psi, rho, u, v, beta, u_norm, p_e, failed):
             1.0 / np.cosh(np.arctanh(np.where(near, 0.0, u_norm))),
         ),
     )
-
-    residuals["oracle_det_vs_schmidt"] = np.abs(p_e - p_e_schmidt)
-    residuals["oracle_det_vs_concurrence"] = np.abs(p_e - conc)
-    residuals["det_vs_u_norm"] = np.abs(p_e - from_u_pow)
+    residuals.update(s.residuals)
+    residuals["oracle_det_vs_schmidt"] = np.abs(p_e - s.p_e_schmidt)
+    residuals["oracle_det_vs_concurrence"] = np.abs(p_e - s.concurrence)
+    residuals["det_vs_u_norm"] = np.abs(p_e - from_u)
     residuals["det_vs_hyperbolic"] = np.abs(p_e - hyperbolic)
-    return residuals
+    return residuals, p_e
 
 
 def _merge(parts):
@@ -355,14 +237,18 @@ def property_sweep(
     evaluated as defined without an independent oracle.
 
     The report is a pure function of (samples, local_dim, seed, tol);
-    ``workers`` only splits the index range across threads.
+    ``workers`` only splits the index range across threads, at most one
+    thread per sample.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if local_dim not in (2, 3):
         raise ValueError(f"local dimension must be 2 or 3, got {local_dim}")
 
-    if workers <= 1:
+    workers = min(workers, samples)
+    if workers == 1:
         parts = [_sweep_range(local_dim, seed, 0, samples)]
     else:
         bounds = [i * samples // workers for i in range(workers + 1)]

@@ -18,24 +18,25 @@ so sweeps can assert all of them at once.
 For qutrit pairs the same determinant expression is evaluated as defined,
 but no oracle or identity set backs it up, so reports mark those results
 as not independently cross-checked.
+
+``analyze`` is row 0 of a stack of one in ``_analyze_stack``, the kernel the
+verify sweep runs over its chunks of Haar samples, so every report field,
+oracle, identity and gate is written once. The public single-state helpers
+(``alpha_matrix``, ``degree_det``, ``schmidt_coeffs``, ``concurrence_pure``,
+``purity_constraints_report``) are separate routes the tests hold it to.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochForm, decompose
+from .bloch import IMAG_RESIDUE_TOL, LOCAL_NORM_SLACK, BlochForm, _project, _scaled
 from .generators import basis_for
-from .linalg import det_real, herm_eigvals
-from .states import (
-    PURITY_GATE_TOL,
-    StateVector,
-    density_from_state,
-    partial_trace,
-    purity,
-)
+from .linalg import HERMITICITY_TOL, det_real, herm_eigvals
+from .states import PURITY_GATE_TOL, StateVector, density_from_state, partial_trace
 
 # -det(alpha) may land this far below zero from floating noise alone
 # (product states have exact determinant 0); anything worse means the
@@ -50,6 +51,9 @@ ORACLE_CONSISTENCY_TOL = 1e-10
 # report less than this floor they agree the state is essentially
 # disentangled, and the strict gate below would only be comparing noise.
 NEAR_PRODUCT_FLOOR = 3e-5
+
+# the squared Schmidt coefficients must sum to 1 this closely
+SCHMIDT_SUM_TOL = 1e-12
 
 RESIDUAL_KEYS = (
     "beta_v_eq_u",
@@ -108,16 +112,6 @@ def alpha_matrix(bf: BlochForm) -> np.ndarray:
     return a
 
 
-def _degree_from_det(d: float) -> float:
-    if d < -DET_CLAMP_WINDOW:
-        raise PurityViolation(
-            f"determinant sign inconsistent with purity: -det(alpha) = {d:.3e}"
-        )
-    if d < 0.0:
-        d = 0.0
-    return d ** 0.25
-
-
 def degree_det(alpha) -> float:
     """P_E = (-det alpha)^(1/4), clamping floating noise just below zero.
 
@@ -125,7 +119,14 @@ def degree_det(alpha) -> float:
     a determinant on the wrong side of the clamp window raises
     PurityViolation rather than returning a complex or NaN value.
     """
-    return _degree_from_det(-det_real(alpha))
+    d = -det_real(alpha)
+    if d < -DET_CLAMP_WINDOW:
+        raise PurityViolation(
+            f"determinant sign inconsistent with purity: -det(alpha) = {d:.3e}"
+        )
+    if d < 0.0:
+        d = 0.0
+    return d ** 0.25
 
 
 def schmidt_coeffs(psi: StateVector) -> tuple[float, float]:
@@ -139,7 +140,7 @@ def schmidt_coeffs(psi: StateVector) -> tuple[float, float]:
     lo, hi = herm_eigvals(rho_a)
     k1 = float(np.sqrt(max(hi, 0.0)))
     k2 = float(np.sqrt(max(lo, 0.0)))
-    if abs(k1 * k1 + k2 * k2 - 1.0) > 1e-12:
+    if abs(k1 * k1 + k2 * k2 - 1.0) > SCHMIDT_SUM_TOL:
         raise ArithmeticError(
             f"reduced eigenvalues sum to {k1 * k1 + k2 * k2}, expected 1"
         )
@@ -162,23 +163,28 @@ def concurrence_pure(psi: StateVector) -> float:
     return 2.0 * abs(a * d - b * c)
 
 
+# flat positions of b[r0, c0], b[r1, c1], b[r0, c1], b[r1, c0] for the minor
+# of each entry (i, j), rows r0 < r1 other than i, columns c0 < c1 other than j
+_OTHER = ((1, 2), (0, 2), (0, 1))
+_MINOR_TERMS = np.array(
+    [
+        [[3 * r[a] + c[b] for c in _OTHER] for r in _OTHER]
+        for a, b in ((0, 0), (1, 1), (0, 1), (1, 0))
+    ]
+)
+_COF_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+
+
 def _signed_cofactors_3x3(b: np.ndarray) -> np.ndarray:
     """C[i, j] = (-1)^(i+j) * det of b with row i and column j removed.
 
     Written out explicitly: the sign convention is load-bearing in the
     cofactor identity below and a transposed adjugate would silently
-    satisfy most symmetric test cases. ``b`` may carry trailing stack axes,
-    shape (3, 3, ...), for many matrices at once.
+    satisfy most symmetric test cases. ``b`` may carry leading stack axes,
+    shape (..., 3, 3), for many matrices at once.
     """
-    c = np.empty(b.shape)
-    rows = ((1, 2), (0, 2), (0, 1))
-    for i in range(3):
-        r0, r1 = rows[i]
-        for j in range(3):
-            c0, c1 = rows[j]
-            minor = b[r0, c0] * b[r1, c1] - b[r0, c1] * b[r1, c0]
-            c[i, j] = minor if (i + j) % 2 == 0 else -minor
-    return c
+    t = b.reshape(*b.shape[:-2], 9).take(_MINOR_TERMS, axis=-1)
+    return (t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]) * _COF_SIGN
 
 
 def purity_constraints_report(bf: BlochForm) -> dict[str, float]:
@@ -212,6 +218,122 @@ def purity_constraints_report(bf: BlochForm) -> dict[str, float]:
     }
 
 
+def _real_norms(vecs: np.ndarray) -> np.ndarray:
+    """Row norms rounded as ``np.linalg.norm``, which dots a contiguous copy."""
+    x = np.ascontiguousarray(vecs)
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _clamp_low(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(0.0, x)`` with Python's semantics (NaN and -0.0 give 0.0)."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _gate(failed, error, message, *values):
+    """A gate: the mask of failing rows, and the exception of a failing row i."""
+    return failed, lambda i: error(message.format(*(val[i].item() for val in values)))
+
+
+def _not_finite(rho: np.ndarray) -> ValueError:
+    i, j = np.argwhere(~np.isfinite(rho))[0]
+    return ValueError(f"rho[{i}, {j}] = {rho[i, j]} is not finite")
+
+
+# What ``_analyze_stack`` computes, one row per state. ``kappa`` (the rows k1
+# and k2), ``p_e_schmidt``, ``concurrence`` and ``residuals`` are None at dim 3;
+# ``gates`` lists analyze's gates in its order, each as the mask of failing
+# rows and the exception of a failing row.
+_Stack = namedtuple(
+    "_Stack",
+    "rho u v beta purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence residuals gates",
+)
+
+
+def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
+    """``analyze`` over the amplitude rows psi (N, n * n), one row per state.
+
+    Row i equals, bit for bit, the single-state values of the state psi[i]:
+    norms dot contiguous copies, and ``** 0.25`` and the concurrence's
+    complex products run in Python's scalar arithmetic.
+    """
+    count = len(psi)
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    pur = np.einsum("nij,nji->n", rho, rho).real
+    # pur is NaN or inf where rho holds NaN or inf, or overflowed (a purity failure)
+    finite = np.isfinite(pur)
+    gates = [
+        _gate(np.abs(pur - 1.0) > PURITY_GATE_TOL, PurityViolation,
+              "purity gate failed: tr(rho^2) = {}", pur),
+        (~finite, lambda i, rho=rho: _not_finite(rho[i])),
+    ]
+    if not finite.all():
+        rho = np.where(finite[:, None, None], rho, 0.0)  # keeps NaN out of what follows
+
+    u_raw, v_raw, beta_raw, residue = _project(rho, basis_for(n))
+    gates.append(_gate(residue > IMAG_RESIDUE_TOL, ValueError, "imaginary residue {:.3e} "
+                       "in the projection traces, input is not Hermitian", residue))
+    u, v, beta = _scaled(u_raw, v_raw, beta_raw, n)
+    norms = _real_norms(np.concatenate([u, v]))
+    u_norm, v_norm = norms[:count], norms[count:]
+    if n == 2:
+        for name, norm in (("u", u_norm), ("v", v_norm)):
+            gates.append(_gate(norm > 1.0 + LOCAL_NORM_SLACK, ValueError,
+                               f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norm))
+
+    alpha = np.empty((count, n * n, n * n))
+    alpha[:, 0, 0] = 1.0
+    alpha[:, 0, 1:] = v
+    alpha[:, 1:, 0] = u
+    alpha[:, 1:, 1:] = beta
+    d_raw = -np.linalg.det(alpha)
+    gates.append(_gate(d_raw < -DET_CLAMP_WINDOW, PurityViolation,
+                       "determinant sign inconsistent with purity: -det(alpha) = {:.3e}", d_raw))
+    # numpy's vectorized power rounds differently from the scalar pow
+    p_e = np.array([(0.0 if d < 0.0 else d) ** 0.25 for d in d_raw.tolist()])
+    kappa = p_e_schmidt = conc = residuals = None
+    if n == 2:
+        # schmidt_coeffs: the eigenvalues of the reduced density matrix
+        rho_a = np.einsum("nijkj->nik", rho.reshape(count, 2, 2, 2, 2))
+        asym = np.abs(rho_a - rho_a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        gates.append(_gate(asym > HERMITICITY_TOL, ValueError,
+                           "matrix is not Hermitian: max |h - h^dagger| = {:.3e}", asym))
+        eig = np.linalg.eigvalsh(rho_a)
+        k2, k1 = np.sqrt(np.where(0.0 > eig, 0.0, eig)).T
+        k_sum = k1 * k1 + k2 * k2
+        # degree_schmidt re-checks the same sum at a looser tolerance
+        gates.append(_gate(np.abs(k_sum - 1.0) > SCHMIDT_SUM_TOL, ArithmeticError,
+                           "reduced eigenvalues sum to {}, expected 1", k_sum))
+        kappa, p_e_schmidt = (k1, k2), 2.0 * k1 * k2
+
+        # concurrence 2 |ad - bc| in Python's complex arithmetic, which rounds
+        # like numpy's scalar complex ops (its vectorized multiply does not)
+        conc = np.array([2.0 * abs(a * d - b * c) for a, b, c, d in psi.tolist()])
+
+        # purity_constraints_report
+        un2 = (u[:, None, :] @ u[:, :, None])[:, 0, 0]
+        vn2 = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        cof = _signed_cofactors_3x3(beta)
+        residuals = {
+            "beta_v_eq_u": np.abs((beta @ v[:, :, None])[:, :, 0] - u).max(axis=1),
+            "beta_t_u_eq_v": np.abs((u[:, None, :] @ beta)[:, 0, :] - v).max(axis=1),
+            "beta_sq_sum": np.abs((beta * beta).reshape(count, 9).sum(axis=1) - (3.0 - un2 - vn2)),
+            "beta_cofactor": np.abs(beta - (u[:, :, None] * v[:, None, :] - cof)).max(axis=(1, 2)),
+            "u_eq_v": np.abs(np.sqrt(un2) - np.sqrt(vn2)),
+            "det_beta_identity": np.abs(-np.linalg.det(beta) - (1.0 - un2)),
+        }
+
+        # a NaN on either side makes the first test false: np.maximum can stand in for max
+        from_u = np.sqrt(_clamp_low(1.0 - u_norm * u_norm))
+        gates.append(_gate(
+            (np.abs(p_e - from_u) > ORACLE_CONSISTENCY_TOL)
+            & (np.maximum(p_e, from_u) > NEAR_PRODUCT_FLOOR),
+            PurityViolation, "determinant route gives {}, sqrt(1 - |u|^2) gives {}", p_e, from_u,
+        ))
+    return _Stack(
+        rho, u, v, beta, pur, u_norm, v_norm, d_raw, p_e, kappa, p_e_schmidt, conc, residuals, gates
+    )
+
+
 def analyze(psi: StateVector) -> EntanglementReport:
     """Full pipeline for one pure state: density, Bloch data, alpha, P_E.
 
@@ -220,52 +342,35 @@ def analyze(psi: StateVector) -> EntanglementReport:
     required to agree with sqrt(1 - |u|^2) to 1e-10 (PurityViolation
     otherwise), except inside the near-product window where the square
     root is noise-dominated. Qutrit pairs get the determinant route only.
+    The state is row 0 of a stack of one in ``_analyze_stack``; the first
+    gate it fails raises.
     """
     if psi.dim_a != psi.dim_b:
         raise ValueError(
             f"analysis requires equal local dimensions, got ({psi.dim_a}, {psi.dim_b})"
         )
     n = psi.dim_a
-    rho = density_from_state(psi)
-    pur = purity(rho)
-    if abs(pur - 1.0) > PURITY_GATE_TOL:
-        raise PurityViolation(f"purity gate failed: tr(rho^2) = {pur}")
+    s = _analyze_stack(psi.amplitudes[None], n)
+    for failed, error in s.gates:
+        if failed[0]:
+            raise error(0)
 
-    bf = decompose(rho, basis_for(n))
-    d_raw = -det_real(alpha_matrix(bf))
-    p_e = _degree_from_det(d_raw)
-    u_norm = float(np.linalg.norm(bf.u))
-    v_norm = float(np.linalg.norm(bf.v))
-
-    p_e_schmidt = None
-    conc = None
-    kappa = None
-    residuals = None
-    if n == 2:
-        kappa = schmidt_coeffs(psi)
-        p_e_schmidt = degree_schmidt(kappa)
-        conc = concurrence_pure(psi)
-        residuals = purity_constraints_report(bf)
-        from_u = np.sqrt(max(0.0, 1.0 - u_norm * u_norm))
-        gap = abs(p_e - from_u)
-        if gap > ORACLE_CONSISTENCY_TOL and max(p_e, from_u) > NEAR_PRODUCT_FLOOR:
-            raise PurityViolation(
-                f"determinant route gives {p_e}, sqrt(1 - |u|^2) gives {from_u}"
-            )
-
+    qubit = n == 2
     return EntanglementReport(
         local_dim=n,
-        p_e_det=p_e,
-        p_e_schmidt=p_e_schmidt,
-        concurrence=conc,
-        kappa=kappa,
-        u=tuple(float(x) for x in bf.u),
-        v=tuple(float(x) for x in bf.v),
-        u_norm=u_norm,
-        v_norm=v_norm,
-        purity=pur,
-        alpha_det=d_raw,
-        constraint_residuals=residuals,
+        p_e_det=float(s.p_e[0]),
+        p_e_schmidt=float(s.p_e_schmidt[0]) if qubit else None,
+        concurrence=float(s.concurrence[0]) if qubit else None,
+        kappa=(float(s.kappa[0][0]), float(s.kappa[1][0])) if qubit else None,
+        u=tuple(s.u[0].tolist()),
+        v=tuple(s.v[0].tolist()),
+        u_norm=float(s.u_norm[0]),
+        v_norm=float(s.v_norm[0]),
+        purity=float(s.purity[0]),
+        alpha_det=float(s.alpha_det[0]),
+        constraint_residuals=(
+            {key: float(vals[0]) for key, vals in s.residuals.items()} if qubit else None
+        ),
         normalization_warning=psi.normalization_warning,
-        oracle_checked=(n == 2),
+        oracle_checked=qubit,
     )

@@ -144,6 +144,37 @@ def test_analyze_rejects_non_integer_dims(tmp_path, capsys, dims):
     assert "'dims' must be two integers" in captured.err
 
 
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        # two-character strings once unpacked into a Bell pair
+        ["10", "00", "00", "10"],
+        [["1", "0"], [False, False], [0, 0], [1, 0]],
+        [[True, 0], [0, 0], [0, 0], [1, 0]],
+        [[1, 0, 0], [0, 0], [0, 0], [1, 0]],
+        [[1], [0, 0], [0, 0], [1, 0]],
+        [[1, None], [0, 0], [0, 0], [1, 0]],
+        [1, 0, 0, 1],
+        {"10": 0, "00": 1, "01": 2, "11": 3},
+    ],
+)
+def test_analyze_rejects_non_numeric_amplitudes(tmp_path, capsys, amplitudes):
+    path = tmp_path / "amps.json"
+    path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amplitudes}), encoding="utf-8")
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'amplitudes'" in captured.err
+
+
+def test_analyze_accepts_integer_amplitude_parts(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    amps = [[1, 0], [0, 0], [0, 0], [1, 0]]
+    path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amps}), encoding="utf-8")
+    assert cli.main(["analyze", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["p_e_det"] == 1.0
+
+
 def test_purity_violation_maps_to_exit_3(three_term_file, monkeypatch, capsys):
     def boom(psi):
         raise PurityViolation("determinant sign inconsistent with purity")
@@ -179,6 +210,14 @@ def test_verify_rejects_dim_5():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--dim", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_worker(capsys, workers):
+    assert cli.main(["verify", "--samples", "5", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers must be at least 1" in captured.err
 
 
 def test_verify_output_worker_independent(capsys):

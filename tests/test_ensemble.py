@@ -11,10 +11,21 @@ from entdeg.ensemble import (
     property_sweep,
     state_for_index,
 )
+from entdeg.fixtures import example_fixtures
 from entdeg.generators import basis_for
 from entdeg.hyperbolic import degree_hyperbolic
-from entdeg.measure import PurityViolation, analyze
-from entdeg.states import density_from_state, partial_trace, purity
+from entdeg.linalg import det_real
+from entdeg.measure import (
+    PurityViolation,
+    alpha_matrix,
+    analyze,
+    concurrence_pure,
+    degree_det,
+    degree_schmidt,
+    purity_constraints_report,
+    schmidt_coeffs,
+)
+from entdeg.states import StateVector, density_from_state, partial_trace, purity
 
 QUBIT_KEYS = {
     "roundtrip",
@@ -111,24 +122,63 @@ def test_sweep_worker_count_does_not_change_results():
     assert serial3 == threaded3
 
 
-def scalar_residuals(psi):
-    """The per-state route through the public single-state functions."""
-    rep = analyze(psi)
+def scalar_route(psi):
+    """Report fields and sweep residuals of one state from the public helpers.
+
+    Independent of ``analyze``, which shares its kernel with the sweep.
+    """
     basis = basis_for(psi.dim_a)
     rho = density_from_state(psi)
     bf = decompose(rho, basis)
+    alpha = alpha_matrix(bf)
+    p_e = degree_det(alpha)
+    fields = {
+        "local_dim": psi.dim_a,
+        "p_e_det": p_e,
+        "p_e_schmidt": None,
+        "concurrence": None,
+        "kappa": None,
+        "u": tuple(bf.u),
+        "v": tuple(bf.v),
+        "u_norm": float(np.linalg.norm(bf.u)),
+        "v_norm": float(np.linalg.norm(bf.v)),
+        "purity": purity(rho),
+        "alpha_det": -det_real(alpha),
+        "constraint_residuals": None,
+        "normalization_warning": psi.normalization_warning,
+        "oracle_checked": psi.dim_a == 2,
+    }
     residuals = {
         "roundtrip": float(np.abs(reconstruct(bf, basis) - rho).max()),
-        "alpha_det_negativity": max(0.0, -rep.alpha_det),
+        "alpha_det_negativity": max(0.0, -fields["alpha_det"]),
     }
     if psi.dim_a == 2:
-        residuals.update(rep.constraint_residuals)
-        residuals["oracle_det_vs_schmidt"] = abs(rep.p_e_det - rep.p_e_schmidt)
-        residuals["oracle_det_vs_concurrence"] = abs(rep.p_e_det - rep.concurrence)
-        from_u = np.sqrt(max(0.0, 1.0 - rep.u_norm ** 2))
-        residuals["det_vs_u_norm"] = abs(rep.p_e_det - from_u)
-        residuals["det_vs_hyperbolic"] = abs(rep.p_e_det - degree_hyperbolic(np.array(rep.u)))
-    return residuals, rep.p_e_det
+        fields["kappa"] = schmidt_coeffs(psi)
+        fields["p_e_schmidt"] = degree_schmidt(fields["kappa"])
+        fields["concurrence"] = concurrence_pure(psi)
+        fields["constraint_residuals"] = purity_constraints_report(bf)
+        residuals.update(fields["constraint_residuals"])
+        residuals["oracle_det_vs_schmidt"] = abs(p_e - fields["p_e_schmidt"])
+        residuals["oracle_det_vs_concurrence"] = abs(p_e - fields["concurrence"])
+        from_u = np.sqrt(max(0.0, 1.0 - fields["u_norm"] ** 2))
+        residuals["det_vs_u_norm"] = abs(p_e - from_u)
+        residuals["det_vs_hyperbolic"] = abs(p_e - degree_hyperbolic(bf.u))
+    return fields, residuals
+
+
+def bits(value):
+    """``value`` with every float as its hex string, so -0.0 and NaN compare exactly."""
+    if isinstance(value, dict):
+        return {key: bits(val) for key, val in value.items()}
+    if isinstance(value, tuple):
+        return tuple(bits(val) for val in value)
+    if isinstance(value, float):
+        return float(value).hex()
+    return value
+
+
+def assert_report_holds(rep, fields):
+    assert {name: bits(getattr(rep, name)) for name in fields} == bits(fields)
 
 
 @pytest.mark.parametrize("dim, seed", [(2, 5), (3, 17)])
@@ -145,16 +195,26 @@ def test_chunk_values_equal_scalar_route_bit_for_bit(dim, seed):
     assert all(set(part[0]) == keys for part in parts)
     kernel = {key: np.concatenate([part[0][key] for part in parts]) for key in keys}
 
-    expected = [scalar_residuals(state_for_index(dim, seed, idx)) for idx in range(lo, hi)]
-    expected_p_e = [exp[1] for exp in expected]
+    states = [state_for_index(dim, seed, idx) for idx in range(lo, hi)]
+    expected = [scalar_route(psi) for psi in states]
+    expected_p_e = [fields["p_e_det"] for fields, _ in expected]
     assert np.array_equal(p_e, expected_p_e)
     for key in keys:
-        assert np.array_equal(kernel[key], [exp[0][key] for exp in expected]), key
+        assert np.array_equal(kernel[key], [res[key] for _, res in expected]), key
 
     # the sweep over the same range reports exactly the per-sample extremes
     worst, p_min, p_max = ensemble._sweep_range(dim, seed, lo, hi)
-    assert worst == {key: max(exp[0][key] for exp in expected) for key in keys}
+    assert worst == {key: max(res[key] for _, res in expected) for key in keys}
     assert (p_min, p_max) == (min(expected_p_e), max(expected_p_e))
+
+    # analyze is the same kernel at a stack of one: its report matches too
+    for psi, (fields, _) in zip(states, expected):
+        assert_report_holds(analyze(psi), fields)
+
+
+@pytest.mark.parametrize("fixture", example_fixtures(), ids=lambda fx: fx.name)
+def test_analyze_report_equals_public_helpers_on_fixtures(fixture):
+    assert_report_holds(analyze(fixture.state), scalar_route(fixture.state)[0])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -189,30 +249,88 @@ def test_nan_sample_fails_the_sweep(monkeypatch):
         assert not rep.passed
 
 
-@pytest.mark.parametrize(
-    "gate, value",
-    [
-        # trips only on the samples whose two routes differ in the last bit
-        ("ORACLE_CONSISTENCY_TOL", 0.0),
-        ("PURITY_GATE_TOL", -1.0),
-        ("DET_CLAMP_WINDOW", -1.0),
-    ],
+# Every gate of analyze in analyze's order: the constant that trips it on
+# seed 21, and the exception the first failing sample raises. The messages
+# were recorded from the per-state route that analyze and the sweep replaced.
+ORDERED_GATES = [
+    ("PURITY_GATE_TOL", -1.0, PurityViolation, "purity gate failed: tr(rho^2) = 1.0"),
+    (
+        "IMAG_RESIDUE_TOL",
+        -1.0,
+        ValueError,
+        "imaginary residue 6.245e-17 in the projection traces, input is not Hermitian",
+    ),
+    (
+        "LOCAL_NORM_SLACK",
+        -1.0,
+        ValueError,
+        "|u| = 0.5749433074323275 exceeds 1, rho is not a qubit state",
+    ),
+    (
+        "DET_CLAMP_WINDOW",
+        -1.0,
+        PurityViolation,
+        "determinant sign inconsistent with purity: -det(alpha) = 4.482e-01",
+    ),
+    (
+        "HERMITICITY_TOL",
+        -1.0,
+        ValueError,
+        "matrix is not Hermitian: max |h - h^dagger| = 5.551e-17",
+    ),
+    (
+        "SCHMIDT_SUM_TOL",
+        -1.0,
+        ArithmeticError,
+        "reduced eigenvalues sum to 0.9999999999999998, expected 1",
+    ),
+    # trips only on the samples whose two routes differ in the last bit
+    (
+        "ORACLE_CONSISTENCY_TOL",
+        0.0,
+        PurityViolation,
+        "determinant route gives 0.5067460225301119, sqrt(1 - |u|^2) gives 0.506746022530112",
+    ),
+]
+# 1 + slack is |u| of sample 1, whose |v| is one ulp larger
+V_BOUND = (
+    "LOCAL_NORM_SLACK",
+    -0.13790460582954556,
+    ValueError,
+    "|v| = 0.8620953941704546 exceeds 1, rho is not a qubit state",
 )
-def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, gate, value):
-    monkeypatch.setattr(measure, gate, value)
-    monkeypatch.setattr(ensemble, gate, value)
+
+
+@pytest.mark.parametrize(
+    "patched",
+    # a gate and every later one trip together: the earliest one must raise
+    [ORDERED_GATES[k:] for k in range(len(ORDERED_GATES))] + [[V_BOUND]],
+    ids=lambda patched: f"{patched[0][0]}-{patched[0][1]}",
+)
+def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, patched):
+    for gate, value, _, _ in patched:
+        monkeypatch.setattr(measure, gate, value)
+    _, _, error, message = patched[0]
     for idx in range(3 * CHUNK):
         try:
             analyze(state_for_index(2, 21, idx))
-        except PurityViolation as exc:
-            first = str(exc)
+        except (ArithmeticError, ValueError) as exc:
+            assert type(exc) is error
+            assert str(exc) == message
             break
     else:
         pytest.fail("no sample failed the patched gate")
     for workers in (1, 3):
-        with pytest.raises(PurityViolation) as caught:
+        with pytest.raises(error) as caught:
             property_sweep(3 * CHUNK, 2, seed=21, workers=workers)
-        assert str(caught.value) == first
+        assert caught.type is error
+        assert str(caught.value) == message
+
+
+def test_non_finite_state_raises_naming_the_entry():
+    amps = np.array([1, 0, 0, 0, 1, 0, 0, 0, np.nan], dtype=complex)
+    with pytest.raises(ValueError, match=r"^rho\[0, 8\] = \(nan\+nanj\) is not finite$"):
+        analyze(StateVector(3, 3, amps))
 
 
 def test_qutrit_chunk_working_set_stays_small():
@@ -263,5 +381,25 @@ def test_sweep_pass_flag_reflects_tolerance():
 def test_sweep_argument_validation():
     with pytest.raises(ValueError, match="at least 1"):
         property_sweep(0, 2, seed=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="^workers must be at least 1$"):
+            property_sweep(10, 2, seed=1, workers=workers)
     with pytest.raises(ValueError, match="local dimension"):
         property_sweep(10, 4, seed=1)
+
+
+def test_thread_pool_capped_at_sample_count(monkeypatch):
+    pools = []
+
+    class RecordingPool(ensemble.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            # never more than two real threads, whatever was asked for
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+    serial = property_sweep(3, 2, seed=4)
+    assert property_sweep(3, 2, seed=4, workers=50) == serial
+    assert property_sweep(1, 2, seed=4, workers=50) == property_sweep(1, 2, seed=4)
+    assert property_sweep(3, 2, seed=4, workers=2) == serial
+    assert pools == [3, 2]
