@@ -6,11 +6,15 @@ counter block derived from its index (the index sits in the highest counter
 word, so per-sample streams cannot overlap), and the Gaussian variates are
 produced by an explicit Box-Muller transform on the raw 64-bit output, so
 the draw sequence is pinned by this file rather than by library internals.
+``state_for_index`` draws one sample from ``np.random.Philox``; the sweep
+computes the same Philox4x64-10 output in numpy for ``DRAW`` samples at a
+time (``_raw_words``), bit for bit, so the per-sample generator remains the
+independent reference the tests hold it to.
 
-The sweep evaluates samples ``CHUNK`` at a time. A chunk's amplitudes go
-through ``measure._analyze_stack``, the stacked kernel of which ``analyze``
-is row 0 of a stack of one, so every report field, oracle, identity and
-gate is the single-state one bit for bit. The sweep adds only what
+The sweep evaluates each draw ``CHUNK[local_dim]`` samples at a time. A
+chunk's amplitudes go through ``measure._analyze_stack``, the stacked kernel
+of which ``analyze`` is row 0 of a stack of one, so every report field,
+oracle, identity and gate is the single-state one bit for bit. The sweep adds only what
 ``analyze`` does not do: the round trip through the expansion
 (``bloch._expand``, the kernel of ``reconstruct``), the hyperbolic route,
 the comparison with sqrt(1 - |u|^2) and the reductions over the chunk.
@@ -32,12 +36,26 @@ from .states import StateVector, state_from_amplitudes
 _U64_SHIFT = np.uint64(11)
 _TWO_NEG53 = 2.0 ** -53
 
+# Philox4x64-10, as numpy's Philox bit generator computes it
+_PHILOX_ROUNDS = 10
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M0 = _PHILOX_M & _MASK32
+_PHILOX_M1 = _PHILOX_M >> _SHIFT32
+
 DEFAULT_TOL = 1e-9
 
-# Samples per stacked evaluation. Larger chunks amortize the per-chunk numpy
-# call overhead further, but every worker thread then holds a larger working
-# set; at 64 the overhead is already a small share of the per-state cost.
-CHUNK = 64
+# Samples per vectorized draw. The draw's fixed cost is a few hundred numpy
+# calls, so it pays over whole blocks rather than per chunk; at 512 samples
+# its temporaries stay within a qutrit chunk's working set.
+DRAW = 512
+
+# Samples per stacked evaluation, per local dimension. A qubit chunk of 256
+# holds a whole 200-sample call; a qutrit chunk's working set grows about
+# five times as fast, so it stays at 64.
+CHUNK = {2: 256, 3: 64}
 
 
 @dataclass(frozen=True)
@@ -103,19 +121,51 @@ def _raw_words(seed: int, lo: int, hi: int, words: int) -> np.ndarray:
     """Raw Philox output of samples lo..hi-1, one row of ``words`` per sample.
 
     Row ``idx - lo`` equals ``Philox(key=seed, counter=[0, 0, 0, idx])
-    .random_raw(words)``: one generator is rewound to each sample's counter
-    block with an empty output buffer, which is several times cheaper than
-    constructing a fresh generator per sample.
+    .random_raw(words)``, computed as Philox4x64-10 over every counter block
+    of the range at once (Salmon et al., "Parallel random numbers: as easy as
+    1, 2, 3", SC'11). numpy increments the counter before each block, so
+    sample idx reads the blocks [c, 0, 0, idx] for c = 1..ceil(words / 4); the
+    key is [seed mod 2^64, seed >> 64], bumped by the Weyl constants after
+    each round. The counter lanes [c0, c2] and [c1, c3] are (2, L) arrays, so
+    both multiplies of a round are one ufunc call; the high word of each
+    64x64 product is assembled from 32-bit limbs.
     """
-    gen = np.random.Philox(key=seed)
-    state = gen.state
-    counter = state["state"]["counter"]
-    out = np.empty((hi - lo, words), dtype=np.uint64)
-    for row, idx in enumerate(range(lo, hi)):
-        counter[3] = idx
-        gen.state = state  # copies the counter, buffer_pos stays 4 (empty)
-        out[row] = gen.random_raw(words)
-    return out
+    blocks = -(-words // 4)
+    count = hi - lo
+    x = np.zeros((2, count, blocks), dtype=np.uint64)  # [c0, c2]
+    y = np.zeros((2, count, blocks), dtype=np.uint64)  # [c1, c3]
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    y[1] = (np.arange(count, dtype=np.uint64) + np.uint64(lo))[:, None]
+    x, y = x.reshape(2, -1), y.reshape(2, -1)
+    low, a0, a1, t, w = (np.empty_like(x) for _ in range(5))
+    k1, k0 = divmod(int(seed), 2**64)
+    for r in range(_PHILOX_ROUNDS):
+        key = np.array([[(k0 + r * _PHILOX_W[0]) % 2**64],
+                        [(k1 + r * _PHILOX_W[1]) % 2**64]], dtype=np.uint64)
+        np.multiply(x, _PHILOX_M, out=low)
+        # high word: a = a1 2^32 + a0, m = m1 2^32 + m0, no partial sum overflows
+        np.bitwise_and(x, _MASK32, out=a0)
+        np.right_shift(x, _SHIFT32, out=a1)
+        np.multiply(a0, _PHILOX_M0, out=t)
+        t >>= _SHIFT32
+        np.multiply(a1, _PHILOX_M0, out=w)
+        t += w  # t = (a0 m0 >> 32) + a1 m0
+        a0 *= _PHILOX_M1
+        np.bitwise_and(t, _MASK32, out=w)
+        w += a0
+        w >>= _SHIFT32  # w = ((t & mask) + a0 m1) >> 32
+        t >>= _SHIFT32
+        a1 *= _PHILOX_M1
+        a1 += t
+        a1 += w  # hi = a1 m1 + (t >> 32) + (w >> 32)
+        # [c0, c1, c2, c3] <- [hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0]
+        np.bitwise_xor(a1[::-1], y, out=x)
+        x ^= key
+        y, low = low[::-1], y
+    out = np.empty((count, blocks, 2, 2), dtype=np.uint64)
+    out[..., 0] = x.reshape(2, count, blocks).transpose(1, 2, 0)
+    out[..., 1] = y.reshape(2, count, blocks).transpose(1, 2, 0)
+    return out.reshape(count, 4 * blocks)[:, :words]
 
 
 def _haar_rows(local_dim: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -143,18 +193,18 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
 
 
 def _chunk_values(
-    local_dim: int, seed: int, lo: int, hi: int
+    local_dim: int, seed: int, lo: int, psi: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-sample residuals and P_E of samples lo..hi-1, evaluated stacked.
+    """Per-sample residuals and P_E of the amplitude rows psi of samples lo, lo+1, ...
 
-    Entry ``idx - lo`` of every array equals, bit for bit, what the
-    single-state route gives for ``state_for_index(local_dim, seed, idx)``:
-    ``analyze`` plus the decompose / reconstruct round trip, and at dim 2
+    Entry ``i`` of every array equals, bit for bit, what the single-state
+    route gives for ``state_for_index(local_dim, seed, lo + i)``: ``analyze``
+    plus the decompose / reconstruct round trip, and at dim 2
     ``degree_hyperbolic``. A sample failing any of ``analyze``'s gates
     raises the same exception; the lowest failing index wins.
     """
     n = local_dim
-    s = _analyze_stack(_haar_rows(n, seed, lo, hi), n)
+    s = _analyze_stack(psi, n)
     failed = np.logical_or.reduce([mask for mask, _ in s.gates])
     if failed.any():
         # analyze runs the same gates on the same values, so it raises the
@@ -211,14 +261,27 @@ def _merge(parts):
     return worst, p_min, p_max
 
 
+def _chunks(local_dim: int, seed: int, lo: int, hi: int):
+    """Samples lo..hi-1 as (first index, amplitude rows), in the sweep's chunks.
+
+    The amplitudes are drawn ``DRAW`` samples at a time and each draw is cut
+    into ``CHUNK[local_dim]`` rows per stacked evaluation.
+    """
+    chunk = CHUNK[local_dim]
+    for start in range(lo, hi, DRAW):
+        psi = _haar_rows(local_dim, seed, start, min(start + DRAW, hi))
+        for at in range(0, len(psi), chunk):
+            yield start + at, psi[at : at + chunk]
+
+
 def _sweep_range(local_dim: int, seed: int, lo: int, hi: int):
     """Worst residuals and the P_E range over samples lo..hi-1."""
 
-    def chunk_summary(start):
-        residuals, p_e = _chunk_values(local_dim, seed, start, min(start + CHUNK, hi))
+    def chunk_summary(start, psi):
+        residuals, p_e = _chunk_values(local_dim, seed, start, psi)
         return {key: vals.max() for key, vals in residuals.items()}, p_e.min(), p_e.max()
 
-    return _merge(chunk_summary(start) for start in range(lo, hi, CHUNK))
+    return _merge(chunk_summary(*part) for part in _chunks(local_dim, seed, lo, hi))
 
 
 def property_sweep(
@@ -246,6 +309,8 @@ def property_sweep(
         raise ValueError("workers must be at least 1")
     if local_dim not in (2, 3):
         raise ValueError(f"local dimension must be 2 or 3, got {local_dim}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
 
     workers = min(workers, samples)
     if workers == 1:

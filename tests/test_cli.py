@@ -220,6 +220,19 @@ def test_verify_rejects_fewer_than_one_worker(capsys, workers):
     assert "workers must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_verify_rejects_seed_outside_the_philox_key_range(capsys, seed):
+    assert cli.main(["verify", "--samples", "5", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"seed must be in [0, 2**128), got {seed}" in captured.err
+
+
+def test_verify_accepts_the_largest_seed(capsys):
+    assert cli.main(["verify", "--samples", "5", "--seed", str(2**128 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**128 - 1
+
+
 def test_verify_output_worker_independent(capsys):
     cli.main(["verify", "--samples", "120", "--seed", "8"])
     one = capsys.readouterr().out

@@ -7,6 +7,7 @@ from entdeg import ensemble, measure
 from entdeg.bloch import decompose, reconstruct
 from entdeg.ensemble import (
     CHUNK,
+    DRAW,
     haar_random_pure,
     property_sweep,
     state_for_index,
@@ -85,6 +86,19 @@ def test_haar_mean_concurrence_matches_3pi_over_16():
     conc = 2 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
     stderr = conc.std(ddof=1) / np.sqrt(len(conc))
     assert abs(conc.mean() - 3 * np.pi / 16) <= 5 * stderr
+
+
+def test_haar_qubit_schmidt_gap_follows_x_cubed():
+    # Haar qubit pairs have Schmidt weights with density proportional to
+    # (l1 - l2)^2 (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001), so the
+    # gap x = |l1 - l2| = sqrt(1 - C^2) has the CDF x^3 on [0, 1]
+    amps = ensemble._haar_rows(2, 0, 0, 20000)
+    conc = 2 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
+    gap = np.sort(np.sqrt(np.clip(1.0 - conc**2, 0.0, None)))
+    n = len(gap)
+    cdf = gap**3
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks <= 1.63 / np.sqrt(n)  # the 1% critical value of the KS distance
 
 
 def test_state_for_index_is_stable():
@@ -184,11 +198,11 @@ def assert_report_holds(rep, fields):
 @pytest.mark.parametrize("dim, seed", [(2, 5), (3, 17)])
 def test_chunk_values_equal_scalar_route_bit_for_bit(dim, seed):
     # 300 samples from an unaligned start, cut into chunks the way the sweep
-    # cuts them, so several chunk boundaries fall inside the range
-    lo, hi = CHUNK // 2, CHUNK // 2 + 300
+    # cuts them, so chunk boundaries fall inside the range
+    lo, hi = CHUNK[dim] // 2, CHUNK[dim] // 2 + 300
     parts = [
-        ensemble._chunk_values(dim, seed, start, min(start + CHUNK, hi))
-        for start in range(lo, hi, CHUNK)
+        ensemble._chunk_values(dim, seed, start, psi)
+        for start, psi in ensemble._chunks(dim, seed, lo, hi)
     ]
     p_e = np.concatenate([part[1] for part in parts])
     keys = QUBIT_KEYS if dim == 2 else QUTRIT_KEYS
@@ -220,22 +234,35 @@ def test_analyze_report_equals_public_helpers_on_fixtures(fixture):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("idx", [0, 1, 2**32, 2**63, 2**64 - 1])
 def test_reused_generator_matches_fresh_philox(dim, idx):
+    # a range holding idx that is longer than one draw and ends in a partial
+    # chunk, so the sweep's cuts fall inside it
     words = 2 * dim * dim
-    counter = np.array([0, 0, 0, idx], dtype=np.uint64)
-    fresh = np.random.Philox(key=99, counter=counter).random_raw(words)
-    lo = max(idx - 1, 0)
-    rows = ensemble._raw_words(99, lo, idx + 1, words)
-    assert np.array_equal(rows[idx - lo], fresh)
-    amps = ensemble._haar_rows(dim, 99, lo, idx + 1)[idx - lo]
-    assert np.array_equal(amps, state_for_index(dim, 99, idx).amplitudes)
+    span = DRAW + CHUNK[dim] + 3
+    lo = min(max(idx - 1, 0), 2**64 - span)
+    indices = range(lo, lo + span)
+    assert idx in indices
+    # seeds with the key's high word zero, small, and all ones
+    for seed in (99, 2**64 + 3, 2**128 - 1):
+        rows = ensemble._raw_words(seed, lo, lo + span, words)
+        parts = list(ensemble._chunks(dim, seed, lo, lo + span))
+        assert [start for start, _ in parts] == [
+            lo + at for at in list(range(0, DRAW, CHUNK[dim])) + [DRAW, DRAW + CHUNK[dim]]
+        ]
+        amps = np.concatenate([psi for _, psi in parts])
+        for row, index in enumerate(indices):
+            counter = np.array([0, 0, 0, index], dtype=np.uint64)
+            fresh = np.random.Philox(key=seed, counter=counter).random_raw(words)
+            assert np.array_equal(rows[row], fresh), (seed, index)
+            expected = state_for_index(dim, seed, index).amplitudes
+            assert np.array_equal(amps[row], expected), (seed, index)
 
 
 def test_nan_sample_fails_the_sweep(monkeypatch):
     real_chunk = ensemble._chunk_values
 
-    def poisoned(local_dim, seed, lo, hi):
-        residuals, p_e = real_chunk(local_dim, seed, lo, hi)
-        if lo <= 70 < hi:
+    def poisoned(local_dim, seed, lo, psi):
+        residuals, p_e = real_chunk(local_dim, seed, lo, psi)
+        if lo <= 70 < lo + len(psi):
             row = 70 - lo
             residuals["roundtrip"][row] = np.nan
             p_e[row] = np.nan
@@ -243,7 +270,7 @@ def test_nan_sample_fails_the_sweep(monkeypatch):
 
     monkeypatch.setattr(ensemble, "_chunk_values", poisoned)
     for workers in (1, 2):
-        rep = property_sweep(3 * CHUNK, 2, seed=3, workers=workers)
+        rep = property_sweep(3 * CHUNK[2], 2, seed=3, workers=workers)
         assert np.isnan(rep.worst_residuals["roundtrip"])
         assert np.isnan(rep.p_e_min) and np.isnan(rep.p_e_max)
         assert not rep.passed
@@ -311,7 +338,7 @@ def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, patch
     for gate, value, _, _ in patched:
         monkeypatch.setattr(measure, gate, value)
     _, _, error, message = patched[0]
-    for idx in range(3 * CHUNK):
+    for idx in range(3 * CHUNK[2]):
         try:
             analyze(state_for_index(2, 21, idx))
         except (ArithmeticError, ValueError) as exc:
@@ -322,7 +349,7 @@ def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, patch
         pytest.fail("no sample failed the patched gate")
     for workers in (1, 3):
         with pytest.raises(error) as caught:
-            property_sweep(3 * CHUNK, 2, seed=21, workers=workers)
+            property_sweep(3 * CHUNK[2], 2, seed=21, workers=workers)
         assert caught.type is error
         assert str(caught.value) == message
 
@@ -333,22 +360,32 @@ def test_non_finite_state_raises_naming_the_entry():
         analyze(StateVector(3, 3, amps))
 
 
-def test_qutrit_chunk_working_set_stays_small():
-    # a qutrit chunk of the dense Kronecker route peaked at about 500 KiB of
-    # numpy allocations; a larger working set shows up as peak RSS in verify
-    ensemble._chunk_values(3, 1, 0, CHUNK)  # term tables and first-use costs
+def traced_peak(work):
+    """Peak bytes of numpy and Python allocations while ``work()`` runs."""
     was_tracing = tracemalloc.is_tracing()
     if was_tracing:
         tracemalloc.reset_peak()
     else:
         tracemalloc.start()
     try:
-        ensemble._chunk_values(3, 2, 0, CHUNK)
-        peak = tracemalloc.get_traced_memory()[1]
+        work()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak <= 640 * 1024
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chunk_working_set_stays_small(dim):
+    # a qutrit chunk of the dense Kronecker route peaked at about 500 KiB of
+    # numpy allocations; a larger working set shows up as peak RSS in verify
+    def chunk(seed):
+        ensemble._chunk_values(dim, seed, 0, ensemble._haar_rows(dim, seed, 0, CHUNK[dim]))
+
+    chunk(1)  # term tables and first-use costs
+    assert traced_peak(lambda: chunk(2)) <= 640 * 1024
+    # one draw block's temporaries stay within the same bound
+    assert traced_peak(lambda: ensemble._haar_rows(dim, 2, 0, DRAW)) <= 640 * 1024
 
 
 def test_sweep_single_sample_passes():
@@ -381,6 +418,9 @@ def test_sweep_pass_flag_reflects_tolerance():
 def test_sweep_argument_validation():
     with pytest.raises(ValueError, match="at least 1"):
         property_sweep(0, 2, seed=1)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*128\), got {seed}$"):
+            property_sweep(10, 2, seed=seed)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="^workers must be at least 1$"):
             property_sweep(10, 2, seed=1, workers=workers)
