@@ -135,7 +135,7 @@ def _running_sums(terms: _Terms, x: np.ndarray) -> np.ndarray:
         hi = lo + 1
         while hi < slots and bounds[hi + 1] - bounds[lo] <= fit:
             hi += 1
-        part = np.take(x, terms.src[bounds[lo] : bounds[hi]], axis=0)
+        part = x.take(terms.src[bounds[lo] : bounds[hi]], axis=0)
         part *= terms.coef[bounds[lo] : bounds[hi]]
         for t in range(lo, hi):
             seg = part[bounds[t] - bounds[lo] : bounds[t + 1] - bounds[lo]]
@@ -240,7 +240,7 @@ def _project(rho: np.ndarray, basis: GeneratorSet):
     x = np.ascontiguousarray(rho.reshape(count, -1).view(np.float64).T)
     out = _running_sums(tables.project, x)
     del x
-    out = np.take(out, tables.natural, axis=0)
+    out = out.take(tables.natural, axis=0)
     residue = np.abs(out[1::2]).max(axis=0)
     raw = np.ascontiguousarray(out.T).view(complex)
     del out

@@ -223,8 +223,8 @@ def _chunk_values(
         return residuals, s.p_e
 
     p_e, u_norm = s.p_e, s.u_norm
-    # the sweep's comparison squares with Python's pow, like the scalar code
-    from_u = np.sqrt(_clamp_low(np.array([1.0 - x ** 2 for x in u_norm.tolist()])))
+    # the sweep's comparison squares with libm pow, as Python's x ** 2 does
+    from_u = np.sqrt(_clamp_low(1.0 - np.float_power(u_norm, 2.0)))
     # degree_hyperbolic; its |u| bound is analyze's |u| gate on the same norm
     near = u_norm > 1.0 - _ARTANH_SAFE_MARGIN
     inside = np.where(u_norm < 1.0, u_norm, 1.0)
@@ -311,6 +311,9 @@ def property_sweep(
         raise ValueError(f"local dimension must be 2 or 3, got {local_dim}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    # NaN would print as invalid JSON, inf would pass every finite residual
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
 
     workers = min(workers, samples)
     if workers == 1:

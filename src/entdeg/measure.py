@@ -218,12 +218,6 @@ def purity_constraints_report(bf: BlochForm) -> dict[str, float]:
     }
 
 
-def _real_norms(vecs: np.ndarray) -> np.ndarray:
-    """Row norms rounded as ``np.linalg.norm``, which dots a contiguous copy."""
-    x = np.ascontiguousarray(vecs)
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
 def _clamp_low(x: np.ndarray) -> np.ndarray:
     """Elementwise ``max(0.0, x)`` with Python's semantics (NaN and -0.0 give 0.0)."""
     return np.where(x > 0.0, x, 0.0)
@@ -273,12 +267,17 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     gates.append(_gate(residue > IMAG_RESIDUE_TOL, ValueError, "imaginary residue {:.3e} "
                        "in the projection traces, input is not Hermitian", residue))
     u, v, beta = _scaled(u_raw, v_raw, beta_raw, n)
-    norms = _real_norms(np.concatenate([u, v]))
+    # squared norms as np.linalg.norm sums them: it dots a contiguous copy
+    uv = np.concatenate([u, v])
+    sq = (uv[:, None, :] @ uv[:, :, None])[:, 0, 0]
+    norms = np.sqrt(sq)
     u_norm, v_norm = norms[:count], norms[count:]
     if n == 2:
-        for name, norm in (("u", u_norm), ("v", v_norm)):
-            gates.append(_gate(norm > 1.0 + LOCAL_NORM_SLACK, ValueError,
-                               f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norm))
+        over = norms > 1.0 + LOCAL_NORM_SLACK
+        gates.append(_gate(over[:count], ValueError,
+                           "|u| = {} exceeds 1, rho is not a qubit state", u_norm))
+        gates.append(_gate(over[count:], ValueError,
+                           "|v| = {} exceeds 1, rho is not a qubit state", v_norm))
 
     alpha = np.empty((count, n * n, n * n))
     alpha[:, 0, 0] = 1.0
@@ -288,8 +287,9 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     d_raw = -np.linalg.det(alpha)
     gates.append(_gate(d_raw < -DET_CLAMP_WINDOW, PurityViolation,
                        "determinant sign inconsistent with purity: -det(alpha) = {:.3e}", d_raw))
-    # numpy's vectorized power rounds differently from the scalar pow
-    p_e = np.array([(0.0 if d < 0.0 else d) ** 0.25 for d in d_raw.tolist()])
+    # np.float_power calls libm pow, as Python's float ** does (np.power
+    # rounds differently); the clamp keeps NaN, which _clamp_low would zero
+    p_e = np.float_power(np.where(d_raw < 0.0, 0.0, d_raw), 0.25)
     kappa = p_e_schmidt = conc = residuals = None
     if n == 2:
         # schmidt_coeffs: the eigenvalues of the reduced density matrix
@@ -309,16 +309,15 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
         # like numpy's scalar complex ops (its vectorized multiply does not)
         conc = np.array([2.0 * abs(a * d - b * c) for a, b, c, d in psi.tolist()])
 
-        # purity_constraints_report
-        un2 = (u[:, None, :] @ u[:, :, None])[:, 0, 0]
-        vn2 = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        # purity_constraints_report; its np.sqrt(un2) is u_norm
+        un2, vn2 = sq[:count], sq[count:]
         cof = _signed_cofactors_3x3(beta)
         residuals = {
             "beta_v_eq_u": np.abs((beta @ v[:, :, None])[:, :, 0] - u).max(axis=1),
             "beta_t_u_eq_v": np.abs((u[:, None, :] @ beta)[:, 0, :] - v).max(axis=1),
             "beta_sq_sum": np.abs((beta * beta).reshape(count, 9).sum(axis=1) - (3.0 - un2 - vn2)),
             "beta_cofactor": np.abs(beta - (u[:, :, None] * v[:, None, :] - cof)).max(axis=(1, 2)),
-            "u_eq_v": np.abs(np.sqrt(un2) - np.sqrt(vn2)),
+            "u_eq_v": np.abs(u_norm - v_norm),
             "det_beta_identity": np.abs(-np.linalg.det(beta) - (1.0 - un2)),
         }
 

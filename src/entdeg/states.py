@@ -55,6 +55,12 @@ class StateVector:
         return self.dim_a * self.dim_b
 
 
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector: the same two dots, without its wrapper."""
+    re, im = a.real, a.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
     """Build a StateVector, rescaling to unit norm.
 
@@ -81,7 +87,7 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
             f"expected {dim_a * dim_b} amplitudes for dims ({dim_a}, {dim_b}), got {a.size}"
         )
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
+        norm = _norm(a)
     warned = abs(norm - 1.0) > NORM_WARN_TOL
     # Outside this range the squared amplitudes lose bits or overflow (and a
     # NaN or infinite part makes the norm non-finite): look closer, and scale
@@ -95,7 +101,7 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
         shift = -math.frexp(peak)[1]
         # in two halves, since 2^shift alone overflows for subnormal input
         a = a * math.ldexp(1.0, shift // 2) * math.ldexp(1.0, shift - shift // 2)
-        norm = float(np.linalg.norm(a))
+        norm = _norm(a)
     a = a / norm
     a.setflags(write=False)
     return StateVector(dim_a, dim_b, a, normalization_warning=warned)

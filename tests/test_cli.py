@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,10 @@ import numpy as np
 import pytest
 
 from entdeg import cli
-from entdeg.measure import PurityViolation
+from entdeg.ensemble import SweepReport, property_sweep, state_for_index
+from entdeg.fixtures import example_fixtures
+from entdeg.measure import PurityViolation, analyze
+from entdeg.states import state_from_amplitudes
 
 S3 = 1 / np.sqrt(3)
 
@@ -52,6 +57,82 @@ def test_analyze_json_roundtrip_byte_identical(three_term_file, capsys):
     cli.main(["analyze", "--input", three_term_file, "--format", "json"])
     first = capsys.readouterr().out.rstrip("\n")
     assert cli.emit_json(json.loads(first)) == first
+
+
+def reference_json(obj) -> str:
+    """The bytes emit_json stands for: json.dumps over the round15-ed values."""
+
+    def jsonable(x):
+        if isinstance(x, float):
+            return cli.round15(x)
+        if isinstance(x, dict):
+            return {key: jsonable(val) for key, val in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [jsonable(val) for val in x]
+        if dataclasses.is_dataclass(x):
+            return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        return x
+
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True)
+
+
+def _emitted_reports():
+    for fx in example_fixtures():
+        yield analyze(fx.state)
+    for dim in (2, 3):
+        for index in range(60):
+            psi = state_for_index(dim, 5, index)
+            yield analyze(psi)
+            # off-norm input, down to scales where the squares underflow
+            scale = (0.5, 3.0, 1e-200, 1e200)[index % 4]
+            yield analyze(state_from_amplitudes(psi.amplitudes * scale, dim, dim))
+        for samples in (1, 7, 65):
+            yield property_sweep(samples, dim, seed=samples)
+
+
+# the floats where %.15g and repr spell a value differently, and their neighbours
+EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -2.0, 100.0, 1e14, 1e15,
+    -1e15, 999999999999999.9, 1e16, 1.5e16, 1e-4, 1e-5, 1.25e-5, 123456789.0,
+    0.1 + 0.2, 2 / 3, 1e300, 1e-300, 2.2250738585072014e-308,
+    2.2250738585072009e-308, 1e-310, 5e-324, -5e-324,
+)
+
+
+def _synthetic_reports():
+    qubit = analyze(state_for_index(2, 1, 0))
+    rng = np.random.default_rng(15)
+    # every sign, exponent and mantissa shape a double can take
+    patterns = rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(np.float64)
+    yield dataclasses.replace(qubit, u=EDGE_FLOATS, v=tuple(patterns.tolist()))
+    for x in EDGE_FLOATS:
+        yield dataclasses.replace(
+            qubit, p_e_det=x, kappa=(x, -x), alpha_det=x,
+            constraint_residuals={**qubit.constraint_residuals, "u_eq_v": x},
+        )
+    yield dataclasses.replace(qubit, u=(), v=[], kappa=None, constraint_residuals={})
+    yield SweepReport(samples=0, local_dim=2, seed=0, tol=0.0, worst_residuals={},
+                      p_e_min=math.inf, p_e_max=-math.inf, passed=True)
+    yield {"nested": [[], {}, [1, [2.5, None]], {"b": True, "a": False}], "empty": ""}
+
+
+def test_emit_json_matches_json_dumps_reference():
+    count = 0
+    for obj in [*_emitted_reports(), *_synthetic_reports()]:
+        text = cli.emit_json(obj)
+        assert text == reference_json(obj)
+        # parsed back, the dict emits the same bytes
+        assert cli.emit_json(json.loads(text)) == text
+        count += 1
+    assert count == 6 + 2 * (120 + 3) + 1 + len(EDGE_FLOATS) + 3
+
+
+def test_emit_json_rejects_what_json_cannot_encode():
+    for obj in (np.float32(1.5), {"a": object()}, b"x"):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli.emit_json(obj)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(obj)
 
 
 def test_analyze_bell(bell_file, capsys):
@@ -226,6 +307,14 @@ def test_verify_rejects_seed_outside_the_philox_key_range(capsys, seed):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"seed must be in [0, 2**128), got {seed}" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_verify_rejects_a_tol_not_finite_or_below_0(capsys, tol):
+    assert cli.main(["verify", "--samples", "5", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tol must be finite and at least 0, got {float(tol)}" in captured.err
 
 
 def test_verify_accepts_the_largest_seed(capsys):

@@ -426,6 +426,10 @@ def test_sweep_argument_validation():
             property_sweep(10, 2, seed=1, workers=workers)
     with pytest.raises(ValueError, match="local dimension"):
         property_sweep(10, 4, seed=1)
+    for tol in (float("nan"), float("inf"), float("-inf"), -1.0):
+        with pytest.raises(ValueError, match=rf"^tol must be finite and at least 0, got {tol}$"):
+            property_sweep(10, 2, seed=1, tol=tol)
+    assert property_sweep(1, 2, seed=1, tol=0.0).tol == 0.0
 
 
 def test_thread_pool_capped_at_sample_count(monkeypatch):

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entdeg.bloch import BlochForm, decompose
-from entdeg.ensemble import state_for_index
+from entdeg.ensemble import _haar_rows, state_for_index
 from entdeg.generators import gellmann_set, pauli_set
 from entdeg.measure import (
     NEAR_PRODUCT_FLOOR,
     PurityViolation,
+    _analyze_stack,
     alpha_matrix,
     analyze,
     concurrence_pure,
@@ -306,3 +307,17 @@ def test_oracle_equivalence(amps):
     else:
         assert abs(rep.p_e_det - rep.p_e_schmidt) <= 1e-6
     assert abs(rep.p_e_det - rep.concurrence) <= 1e-10
+
+
+def test_float_power_rounds_as_python_pow():
+    # p_e = d ** 0.25 in the stacked kernel and 1 - |u| ** 2 in the sweep take
+    # np.float_power, which calls libm pow as Python's float ** does (np.power
+    # and x * x round differently on some values)
+    specials = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 1.0]
+    for n in (2, 3):
+        s = _analyze_stack(_haar_rows(n, 3, 0, 3000), n)
+        d = np.where(s.alpha_det < 0.0, 0.0, s.alpha_det)
+        for values, exponent in ((d, 0.25), (s.u_norm, 2.0), (s.v_norm, 2.0)):
+            x = np.concatenate([values, specials])
+            scalar = np.array([v ** exponent for v in x.tolist()])
+            assert (np.float_power(x, exponent).view(np.uint64) == scalar.view(np.uint64)).all()
