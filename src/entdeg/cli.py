@@ -4,6 +4,11 @@ Exit codes: 0 success (and, for verify/examples, all checks passed),
 1 a verify/examples tolerance check failed, 2 usage or parse error,
 3 a numerical precondition failed (purity gate or determinant sign).
 
+A canonical command line (a subcommand, then distinct ``--option value``
+pairs spelled out in full) is bound straight from the parser's option
+table; argparse handles every non-canonical command line, so help, errors
+and exit codes are its own.
+
 State files are UTF-8 JSON with two fields, for instance
 
     {"dims": [2, 2], "amplitudes": [[0.577, 0], [0.577, 0], [0, 0], [0.577, 0]]}
@@ -155,7 +160,10 @@ def _load_state(path: str):
         text = fh.read().decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"state file {path} nests too deeply to parse") from None
     try:
         dims = data["dims"]
         raw = data["amplitudes"]
@@ -213,46 +221,95 @@ def cmd_examples(args) -> int:
     return 0 if ok else 1
 
 
+def _add_command(sub, commands: dict, name: str, handler, *options, **kwargs) -> None:
+    """Add subcommand ``name`` with ``options``, (flag, ``add_argument``
+    keywords) pairs, and record in ``commands`` what ``_bind`` reads of it:
+    the namespace defaults argparse sets and the action of each flag."""
+    cmd = sub.add_parser(name, **kwargs)
+    cmd.set_defaults(handler=handler)
+    actions = {flag: cmd.add_argument(flag, **spec) for flag, spec in options}
+    defaults = {"command": name, "handler": handler}
+    defaults.update((a.dest, a.default) for a in actions.values())
+    commands[name] = (defaults, actions)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
 
     ``parse_args`` leaves the parser as it found it, so every ``main`` call
-    in a process can reuse one tree instead of paying for a new one.
+    in a process can reuse one tree instead of paying for a new one. Its
+    ``commands`` attribute maps each subcommand to its namespace defaults
+    and its actions by flag, the table ``_bind`` matches command lines
+    against.
     """
     parser = argparse.ArgumentParser(
         prog="entdeg",
         description="Degree of entanglement of pure two-qubit and two-qutrit states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.commands = {}
 
-    p_analyze = sub.add_parser("analyze", help="analyze one state file")
-    p_analyze.add_argument("--input", required=True, help="path to a JSON state file")
-    p_analyze.add_argument(
-        "--format", choices=("json", "table"), default="table", help="output format"
+    _add_command(
+        sub, commands, "analyze", cmd_analyze,
+        ("--input", dict(required=True, help="path to a JSON state file")),
+        ("--format", dict(choices=("json", "table"), default="table", help="output format")),
+        help="analyze one state file",
     )
-    p_analyze.set_defaults(handler=cmd_analyze)
-
-    p_verify = sub.add_parser(
-        "verify", help="sweep seeded Haar-random states and check every invariant"
+    _add_command(
+        sub, commands, "verify", cmd_verify,
+        ("--samples", dict(type=int, default=10000)),
+        ("--dim", dict(type=int, choices=(2, 3), default=2)),
+        ("--seed", dict(type=int, default=42)),
+        ("--tol", dict(type=float, default=1e-9)),
+        ("--workers", dict(type=int, default=1, help="thread count; does not affect results")),
+        help="sweep seeded Haar-random states and check every invariant",
     )
-    p_verify.add_argument("--samples", type=int, default=10000)
-    p_verify.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
-    p_verify.add_argument(
-        "--workers", type=int, default=1, help="thread count; does not affect results"
-    )
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_examples = sub.add_parser("examples", help="regression table of built-in states")
-    p_examples.set_defaults(handler=cmd_examples)
-
+    _add_command(sub, commands, "examples", cmd_examples,
+                 help="regression table of built-in states")
     return parser
 
 
+def _bind(commands: dict, argv: list) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` builds, if ``argv`` is canonical;
+    None otherwise.
+
+    Canonical is a subcommand name followed by distinct, exactly spelled
+    ``--option value`` pairs of that subcommand, where no value starts with
+    '-', every required option is given, and each value converts by the
+    option's type into one of its choices. argparse binds such a line to
+    this namespace, and it keeps every other line: help, ``--opt=value``,
+    abbreviations, repeats, values starting with '-' and every error.
+    """
+    if len(argv) % 2 == 0 or not all(type(token) is str for token in argv):
+        return None
+    try:
+        defaults, actions = commands[argv[0]]
+    except KeyError:
+        return None
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = actions.get(flag)
+        if action is None or action.dest in given or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except Exception:  # argparse reports or raises this one itself
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if any(action.required and action.dest not in given for action in actions.values()):
+        return None
+    return argparse.Namespace(**{**defaults, **given})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = _bind(parser.commands, argv)
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except PurityViolation as exc:

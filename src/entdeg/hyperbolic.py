@@ -53,13 +53,14 @@ def rapidity_of(u) -> RapidityParam:
 
     Raises ValueError once |u| is within 1e-12 of the unit sphere: there
     the rapidity diverges (product states sit exactly on the boundary).
+    A NaN |u| raises as well.
     """
     vec = np.asarray(u, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"expected a real 3-vector, got shape {vec.shape}")
     n = float(np.linalg.norm(vec))
-    if n > 1.0 - LIGHT_CONE_MARGIN:
-        raise ValueError(f"boost degenerate at the light-cone: |u| = {n}")
+    if not n <= 1.0 - LIGHT_CONE_MARGIN:  # NaN fails too
+        raise ValueError(f"boost degenerate at the light-cone or undefined: |u| = {n}")
     if n == 0.0:
         direction = np.array([0.0, 0.0, 1.0])
     else:
@@ -93,13 +94,13 @@ def degree_hyperbolic(u) -> float:
     """Entanglement degree from the Bloch vector alone: 1/cosh(artanh |u|).
 
     Equals sqrt(1 - |u|^2); the algebraic form takes over close to and at
-    |u| = 1, where artanh is unusable. |u| beyond 1 + 1e-10 is rejected as
-    not a Bloch vector.
+    |u| = 1, where artanh is unusable. |u| beyond 1 + 1e-10, or NaN, is
+    rejected as not a Bloch vector.
     """
     vec = np.asarray(u, dtype=float)
     n = float(np.linalg.norm(vec))
-    if n > 1.0 + BLOCH_NORM_SLACK:
-        raise ValueError(f"|u| = {n} exceeds 1, not a valid Bloch vector")
+    if not n <= 1.0 + BLOCH_NORM_SLACK:  # NaN fails too
+        raise ValueError(f"|u| = {n} exceeds 1 or is NaN, not a valid Bloch vector")
     if n >= 1.0:
         return 0.0
     if n > 1.0 - _ARTANH_SAFE_MARGIN:

@@ -116,11 +116,11 @@ def degree_det(alpha) -> float:
     """P_E = (-det alpha)^(1/4), clamping floating noise just below zero.
 
     The caller is responsible for the purity gate on the source state;
-    a determinant on the wrong side of the clamp window raises
-    PurityViolation rather than returning a complex or NaN value.
+    a determinant on the wrong side of the clamp window, or a NaN one,
+    raises PurityViolation rather than returning a complex or NaN value.
     """
     d = -det_real(alpha)
-    if d < -DET_CLAMP_WINDOW:
+    if not d >= -DET_CLAMP_WINDOW:  # NaN fails too
         raise PurityViolation(
             f"determinant sign inconsistent with purity: -det(alpha) = {d:.3e}"
         )
@@ -148,9 +148,10 @@ def schmidt_coeffs(psi: StateVector) -> tuple[float, float]:
 
 
 def degree_schmidt(kappa: tuple[float, float]) -> float:
-    """P_E = 2 k1 k2 from Schmidt coefficients."""
+    """P_E = 2 k1 k2 from Schmidt coefficients; ValueError unless
+    k1^2 + k2^2 is within 1e-10 of 1 (NaN is not)."""
     k1, k2 = kappa
-    if abs(k1 * k1 + k2 * k2 - 1.0) > 1e-10:
+    if not abs(k1 * k1 + k2 * k2 - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"Schmidt coefficients not normalized: k1^2 + k2^2 = {k1 * k1 + k2 * k2}")
     return 2.0 * k1 * k2
 

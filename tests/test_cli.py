@@ -1,4 +1,8 @@
+import argparse
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
@@ -178,6 +182,20 @@ def test_analyze_unparseable_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{dims: nope", encoding="utf-8")
     assert cli.main(["analyze", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200000, '{"dims": [2, 2], "amplitudes": ' + "[" * 5000 + "]" * 5000 + "}"],
+    ids=["open-brackets", "deep-amplitudes"],
+)
+def test_analyze_rejects_a_file_that_nests_too_deeply(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"state file {path} nests too deeply to parse" in captured.err
 
 
 def test_analyze_nonexistent_file(tmp_path, capsys):
@@ -414,6 +432,107 @@ def test_parser_built_on_first_main_call_only():
     assert at_import == 0
     assert after_calls[0] > 0
     assert after_calls == after_calls[:1] * 3
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _bound(argv):
+    return cli._bind(cli.build_parser().commands, argv)
+
+
+# one valid value per option; an option added to the parser needs one here
+OPTION_VALUES = {
+    "--input": "state.json", "--format": "json", "--samples": "7", "--dim": "3",
+    "--seed": "5", "--tol": "1e-6", "--workers": "2",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "examples"])
+def test_bind_equals_argparse_in_every_option_order(command):
+    # every subset of the command's options, in every order, so each default
+    # is also left out; argparse accepts a line exactly when _bind binds it
+    flags = list(cli.build_parser().commands[command][1])
+    lines = 0
+    for count in range(len(flags) + 1):
+        for chosen in itertools.permutations(flags, count):
+            argv = [command, *itertools.chain.from_iterable((f, OPTION_VALUES[f]) for f in chosen)]
+            bound, parsed = _bound(argv), _parsed(argv)
+            assert (bound is None) == (parsed is None), argv
+            assert bound is None or vars(bound) == parsed, argv
+            lines += 1
+    assert lines == {"analyze": 5, "verify": 326, "examples": 1}[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--tol=nan"],
+        ["verify", "--samples", "5", "--tol=1e-6"],
+        ["verify", "--workers", "-3"],
+        ["verify", "--tol", "-1"],
+        ["analyze", "--inp", "state.json"],
+        ["verify", "--sam", "5"],
+        ["verify", "--seed", "1", "--seed", "2"],
+        ["analyze", "--input", "a.json", "--input", "b.json"],
+        ["-h"],
+        ["analyze", "-h"],
+        ["verify", "--help"],
+        ["analyze", "--input", "a.json", "-h"],
+        ["bogus"],
+        ["bogus", "--input", "a.json"],
+        ["verify", "--samples", "x"],
+        ["verify", "--dim", "2.0"],
+        ["verify", "--dim", "5"],
+        ["analyze", "--format", "xml", "--input", "a.json"],
+        ["analyze", "--input", "a.json", "extra"],
+        ["examples", "extra"],
+        ["examples", "--input", "a.json"],
+        ["examples"],
+        ["analyze", "--input", "--format"],
+        ["analyze", "--input"],
+        ["analyze", "--input", ""],
+        ["verify", "--samples", " 5", "--seed", "1_000"],
+        ["verify", "--"],
+        ["--", "examples"],
+        [],
+    ],
+)
+def test_bind_declines_or_equals_argparse(argv):
+    bound = _bound(argv)
+    assert bound is None or vars(bound) == _parsed(argv)
+
+
+def test_benchmark_command_lines_bind_without_argparse(tmp_path, monkeypatch, capsys):
+    state = write_state(tmp_path, "qubit.json", (2, 2), [S3, S3, 0j, S3])
+    argvs = [["analyze", "--input", state, "--format", fmt] for fmt in ("json", "table")]
+    argvs += [
+        ["verify", "--dim", str(dim), "--samples", "20", "--seed", "3", "--workers", str(workers)]
+        for dim in (2, 3)
+        for workers in (1, 2)
+    ]
+    expected = []
+    for argv in argvs:
+        expected.append((cli.main(argv), capsys.readouterr().out))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse reached")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv, want in zip(argvs, expected):
+        assert (cli.main(argv), capsys.readouterr().out) == want
+    # the argv=None route of entry() binds the same way
+    monkeypatch.setattr(sys, "argv", ["entdeg", *argvs[0]])
+    assert (cli.main(), capsys.readouterr().out) == expected[0]
+    # and a line that is not canonical still goes to argparse
+    with pytest.raises(AssertionError, match="argparse reached"):
+        cli.main(["verify", "--samples=20"])
 
 
 def test_module_entry_point():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from entdeg.bloch import BlochForm, decompose
 from entdeg.ensemble import _haar_rows, state_for_index
 from entdeg.generators import gellmann_set, pauli_set
+from entdeg.hyperbolic import degree_hyperbolic, rapidity_of
 from entdeg.measure import (
     NEAR_PRODUCT_FLOOR,
     PurityViolation,
@@ -110,6 +113,24 @@ def test_degree_schmidt_values():
 def test_degree_schmidt_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
         degree_schmidt((1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "func, arg, error, named",
+    [
+        (degree_det, np.full((4, 4), np.nan), PurityViolation, "-det(alpha) = nan"),
+        (degree_schmidt, (np.nan, np.nan), ValueError, "k1^2 + k2^2 = nan"),
+        (degree_hyperbolic, [np.nan, 0.0, 0.0], ValueError, "|u| = nan"),
+        (rapidity_of, [np.nan, 0.0, 0.0], ValueError, "|u| = nan"),
+    ],
+    ids=["degree_det", "degree_schmidt", "degree_hyperbolic", "rapidity_of"],
+)
+def test_scalar_helpers_reject_nan_by_name(func, arg, error, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's det of NaN warns
+        with pytest.raises(error) as exc:
+            func(arg)
+    assert named in str(exc.value)
 
 
 def test_concurrence_values():
