@@ -12,7 +12,7 @@ seeded Haar-random ensembles.
 from .bloch import BlochForm, bloch_of_reduced, decompose, reconstruct
 from .ensemble import SweepReport, haar_random_pure, property_sweep, state_for_index
 from .fixtures import ExampleFixture, example_fixtures
-from .generators import GeneratorSet, basis_for, gellmann_set, pauli_set
+from .generators import GeneratorSet, basis_for
 from .hyperbolic import (
     RapidityParam,
     boost_density_residual,
@@ -34,7 +34,6 @@ from .measure import (
 from .states import (
     StateVector,
     density_from_state,
-    is_pure,
     partial_trace,
     purity,
     state_from_amplitudes,
@@ -64,12 +63,9 @@ __all__ = [
     "degree_schmidt",
     "density_from_state",
     "example_fixtures",
-    "gellmann_set",
     "haar_random_pure",
-    "is_pure",
     "lorentz_boost",
     "partial_trace",
-    "pauli_set",
     "property_sweep",
     "purity",
     "purity_constraints_report",

@@ -345,7 +345,7 @@ def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:
     scale = 1.0 if n == 2 else np.sqrt(3.0) / 2.0
     comps = np.einsum("aij,ji->a", np.stack(basis.generators), a)
     residue = float(np.abs(comps.imag).max())
-    if residue > IMAG_RESIDUE_TOL:
+    if not residue <= IMAG_RESIDUE_TOL:  # NaN fails too
         raise ValueError(
             f"imaginary residue {residue:.3e} in the projection traces, "
             "input is not Hermitian"

@@ -199,9 +199,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = property_sweep(
-        args.samples, args.dim, args.seed, tol=args.tol, workers=args.workers
-    )
+    # --workers is accepted for compatibility; the sweep runs in one thread
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
+    report = property_sweep(args.samples, args.dim, args.seed, tol=args.tol)
     print(emit_json(report))
     return 0 if report.passed else 1
 
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("--dim", dict(type=int, choices=(2, 3), default=2)),
         ("--seed", dict(type=int, default=42)),
         ("--tol", dict(type=float, default=1e-9)),
-        ("--workers", dict(type=int, default=1, help="thread count; does not affect results")),
+        ("--workers", dict(type=int, default=1,
+                           help="accepted for compatibility; the sweep runs in one thread")),
         help="sweep seeded Haar-random states and check every invariant",
     )
     _add_command(sub, commands, "examples", cmd_examples,

@@ -1,11 +1,11 @@
 """Seeded Haar-random states and the mass property sweep over them.
 
 Reproducibility contract: sample number ``idx`` of a sweep depends only on
-(seed, idx), never on worker count or chunking. Each sample owns a Philox
-counter block derived from its index (the index sits in the highest counter
-word, so per-sample streams cannot overlap), and the Gaussian variates are
-produced by an explicit Box-Muller transform on the raw 64-bit output, so
-the draw sequence is pinned by this file rather than by library internals.
+(seed, idx), never on chunking. Each sample owns a Philox counter block
+derived from its index (the index sits in the highest counter word, so
+per-sample streams cannot overlap), and the Gaussian variates are produced
+by an explicit Box-Muller transform on the raw 64-bit output, so the draw
+sequence is pinned by this file rather than by library internals.
 ``state_for_index`` draws one sample from ``np.random.Philox``; the sweep
 computes the same Philox4x64-10 output in numpy for ``DRAW`` samples at a
 time (``_raw_words``), bit for bit, so the per-sample generator remains the
@@ -22,7 +22,6 @@ the comparison with sqrt(1 - |u|^2) and the reductions over the chunk.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +107,8 @@ def haar_random_pure(total_dim: int, rng: np.random.BitGenerator) -> StateVector
 def state_for_index(local_dim: int, seed: int, index: int) -> StateVector:
     """The ``index``-th state of the (seed, local_dim) ensemble.
 
-    Workers in a parallel sweep call this independently; the per-sample
-    counter keeps the result identical no matter who computes it.
+    The per-sample counter makes it independent of every other sample, so
+    the sweep's stacked draw (``_haar_rows``) reproduces it bit for bit.
     """
     counter = np.zeros(4, dtype=np.uint64)
     counter[3] = np.uint64(index)
@@ -245,22 +244,6 @@ def _chunk_values(
     return residuals, p_e
 
 
-def _merge(parts):
-    """Fold (worst residuals, P_E min, P_E max) summaries into one.
-
-    NaN propagates through every maximum and minimum, so a NaN sample makes
-    the report fail instead of vanishing from it.
-    """
-    worst: dict[str, float] = {}
-    p_min, p_max = np.inf, -np.inf
-    for part_worst, part_min, part_max in parts:
-        for key, val in part_worst.items():
-            worst[key] = float(np.maximum(worst.get(key, 0.0), val))
-        p_min = float(np.minimum(p_min, part_min))
-        p_max = float(np.maximum(p_max, part_max))
-    return worst, p_min, p_max
-
-
 def _chunks(local_dim: int, seed: int, lo: int, hi: int):
     """Samples lo..hi-1 as (first index, amplitude rows), in the sweep's chunks.
 
@@ -275,13 +258,20 @@ def _chunks(local_dim: int, seed: int, lo: int, hi: int):
 
 
 def _sweep_range(local_dim: int, seed: int, lo: int, hi: int):
-    """Worst residuals and the P_E range over samples lo..hi-1."""
+    """Worst residuals and the P_E range over samples lo..hi-1.
 
-    def chunk_summary(start, psi):
+    NaN propagates through every maximum and minimum, so a NaN sample makes
+    the report fail instead of vanishing from it.
+    """
+    worst: dict[str, float] = {}
+    p_min, p_max = np.inf, -np.inf
+    for start, psi in _chunks(local_dim, seed, lo, hi):
         residuals, p_e = _chunk_values(local_dim, seed, start, psi)
-        return {key: vals.max() for key, vals in residuals.items()}, p_e.min(), p_e.max()
-
-    return _merge(chunk_summary(*part) for part in _chunks(local_dim, seed, lo, hi))
+        for key, vals in residuals.items():
+            worst[key] = float(np.maximum(worst.get(key, 0.0), vals.max()))
+        p_min = float(np.minimum(p_min, p_e.min()))
+        p_max = float(np.maximum(p_max, p_e.max()))
+    return worst, p_min, p_max
 
 
 def property_sweep(
@@ -289,7 +279,6 @@ def property_sweep(
     local_dim: int,
     seed: int,
     tol: float = DEFAULT_TOL,
-    workers: int = 1,
 ) -> SweepReport:
     """Run every per-state invariant over a seeded Haar ensemble.
 
@@ -299,14 +288,12 @@ def property_sweep(
     round trip and the determinant sign are meaningful, and the degree is
     evaluated as defined without an independent oracle.
 
-    The report is a pure function of (samples, local_dim, seed, tol);
-    ``workers`` only splits the index range across threads, at most one
-    thread per sample.
+    The report is a pure function of (samples, local_dim, seed, tol). The
+    sweep runs in the calling thread: its many small numpy calls hold the
+    interpreter lock, so more threads would not make it faster.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if local_dim not in (2, 3):
         raise ValueError(f"local dimension must be 2 or 3, got {local_dim}")
     if not 0 <= seed < 2**128:
@@ -315,20 +302,7 @@ def property_sweep(
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")
 
-    workers = min(workers, samples)
-    if workers == 1:
-        parts = [_sweep_range(local_dim, seed, 0, samples)]
-    else:
-        bounds = [i * samples // workers for i in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda span: _sweep_range(local_dim, seed, span[0], span[1]),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-
-    worst, p_min, p_max = _merge(parts)
+    worst, p_min, p_max = _sweep_range(local_dim, seed, 0, samples)
     return SweepReport(
         samples=samples,
         local_dim=local_dim,

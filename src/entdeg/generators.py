@@ -62,6 +62,8 @@ _GELLMANN = GeneratorSet(
 )
 
 
+# basis_for(2) and basis_for(3) under their own names; only
+# tests/test_acceptance.py still imports these, so they stay in this module
 def pauli_set() -> GeneratorSet:
     """The three Pauli matrices plus the 2x2 identity."""
     return _PAULI

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import pauli_set
+from .generators import basis_for
 
 LIGHT_CONE_MARGIN = 1e-12
 
@@ -75,7 +75,7 @@ def lorentz_boost(r: RapidityParam) -> np.ndarray:
     Hermitian and positive definite with det L = cosh^2 - sinh^2 = 1.
     """
     phi = r.half_rapidity
-    sigma = pauli_set().generators
+    sigma = basis_for(2).generators
     n_dot_s = sum(c * s for c, s in zip(r.unit_direction, sigma))
     return np.cosh(phi) * np.eye(2, dtype=complex) + np.sinh(phi) * n_dot_s
 
@@ -83,7 +83,7 @@ def lorentz_boost(r: RapidityParam) -> np.ndarray:
 def boost_density_residual(u) -> float:
     """Max entrywise gap between (1 + u.s)/2 and L(u)/(2 cosh phi)."""
     r = rapidity_of(u)
-    sigma = pauli_set().generators
+    sigma = basis_for(2).generators
     vec = np.asarray(u, dtype=float)
     direct = 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(vec, sigma)))
     boosted = lorentz_boost(r) / (2.0 * np.cosh(r.half_rapidity))

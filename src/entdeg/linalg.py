@@ -71,6 +71,6 @@ def herm_eigvals(h) -> np.ndarray:
     """
     a = _as_square(h, "h")
     asym = float(np.abs(a - a.conj().T).max())
-    if asym > HERMITICITY_TOL:
+    if not asym <= HERMITICITY_TOL:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian: max |h - h^dagger| = {asym:.3e}")
     return np.linalg.eigvalsh(a)

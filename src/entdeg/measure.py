@@ -140,7 +140,7 @@ def schmidt_coeffs(psi: StateVector) -> tuple[float, float]:
     lo, hi = herm_eigvals(rho_a)
     k1 = float(np.sqrt(max(hi, 0.0)))
     k2 = float(np.sqrt(max(lo, 0.0)))
-    if abs(k1 * k1 + k2 * k2 - 1.0) > SCHMIDT_SUM_TOL:
+    if not abs(k1 * k1 + k2 * k2 - 1.0) <= SCHMIDT_SUM_TOL:  # NaN fails too
         raise ArithmeticError(
             f"reduced eigenvalues sum to {k1 * k1 + k2 * k2}, expected 1"
         )

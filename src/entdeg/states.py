@@ -122,13 +122,13 @@ def validate_density(rho, name: str = "rho") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
     asym = float(np.abs(a - a.conj().T).max())
-    if asym > DENSITY_HERM_TOL:
+    if not asym <= DENSITY_HERM_TOL:  # NaN fails too
         raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1")
     low = float(herm_eigvals(a)[0])
-    if low < DENSITY_EIGVAL_FLOOR:
+    if not low >= DENSITY_EIGVAL_FLOOR:
         raise ValueError(f"{name} is not positive semidefinite: lowest eigenvalue {low:.3e}")
     return a
 
@@ -162,7 +162,3 @@ def purity(rho) -> float:
     a = np.asarray(rho, dtype=complex)
     return float(np.einsum("ij,ji->", a, a).real)
 
-
-def is_pure(rho) -> bool:
-    """Purity gate: |tr(rho^2) - 1| <= 1e-10."""
-    return abs(purity(rho) - 1.0) <= PURITY_GATE_TOL

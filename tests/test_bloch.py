@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from entdeg import bloch, ensemble
 from entdeg.bloch import BlochForm, bloch_of_reduced, decompose, reconstruct
-from entdeg.generators import gellmann_set, pauli_set
+from entdeg.generators import basis_for
 from entdeg.states import density_from_state, partial_trace, state_from_amplitudes
 
 S3 = 1 / np.sqrt(3)
@@ -24,7 +24,7 @@ QUTRIT_BETA_DIAG = np.array([1, -1, 1, 1, -1, 1, -1, 1], dtype=float)
 
 
 def test_decompose_three_term():
-    bf = decompose(THREE_TERM_RHO, pauli_set())
+    bf = decompose(THREE_TERM_RHO, basis_for(2))
     assert_allclose(bf.u, [2 / 3, 0, 1 / 3], atol=1e-15)
     assert_allclose(bf.v, [2 / 3, 0, -1 / 3], atol=1e-15)
     expected_beta = np.array([[2, 0, -2], [0, -2, 0], [2, 0, 1]]) / 3
@@ -32,14 +32,14 @@ def test_decompose_three_term():
 
 
 def test_decompose_bell():
-    bf = decompose(BELL_RHO, pauli_set())
+    bf = decompose(BELL_RHO, basis_for(2))
     assert_allclose(bf.u, np.zeros(3), atol=1e-15)
     assert_allclose(bf.v, np.zeros(3), atol=1e-15)
     assert_allclose(bf.beta, np.diag([1.0, -1.0, 1.0]), atol=1e-15)
 
 
 def test_decompose_qutrit_maximal():
-    bf = decompose(QUTRIT_MAX_RHO, gellmann_set())
+    bf = decompose(QUTRIT_MAX_RHO, basis_for(3))
     assert_allclose(bf.u, np.zeros(8), atol=1e-15)
     assert_allclose(bf.v, np.zeros(8), atol=1e-15)
     assert_allclose(bf.beta, np.diag(QUTRIT_BETA_DIAG), atol=1e-15)
@@ -47,14 +47,14 @@ def test_decompose_qutrit_maximal():
 
 def test_decompose_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        decompose(np.eye(4) / 4, gellmann_set())
+        decompose(np.eye(4) / 4, basis_for(3))
 
 
 def test_decompose_rejects_non_hermitian():
     bad = THREE_TERM_RHO.copy()
     bad[0, 1] += 1e-6j
     with pytest.raises(ValueError, match="imaginary residue"):
-        decompose(bad, pauli_set())
+        decompose(bad, basis_for(2))
 
 
 @pytest.mark.parametrize(
@@ -68,50 +68,56 @@ def test_decompose_rejects_non_finite_entries(n, entry, value, text):
     rho = np.eye(n * n, dtype=complex) / (n * n)
     rho[entry] = value
     with pytest.raises(ValueError, match=text):
-        decompose(rho, pauli_set() if n == 2 else gellmann_set())
+        decompose(rho, basis_for(2) if n == 2 else basis_for(3))
 
 
 def test_decompose_rejects_overlong_bloch_vector():
     # Hermitian with unit trace but not a state: |v| = 3
     fake = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="exceeds 1"):
-        decompose(fake, pauli_set())
+        decompose(fake, basis_for(2))
 
 
 def test_reconstruct_three_term_roundtrip():
-    bf = decompose(THREE_TERM_RHO, pauli_set())
-    assert np.abs(reconstruct(bf, pauli_set()) - THREE_TERM_RHO).max() <= 1e-13
+    bf = decompose(THREE_TERM_RHO, basis_for(2))
+    assert np.abs(reconstruct(bf, basis_for(2)) - THREE_TERM_RHO).max() <= 1e-13
 
 
 def test_reconstruct_zero_form_is_maximally_mixed():
     bf = BlochForm(2, np.zeros(3), np.zeros(3), np.zeros((3, 3)))
-    assert_allclose(reconstruct(bf, pauli_set()), np.eye(4) / 4, atol=1e-16)
+    assert_allclose(reconstruct(bf, basis_for(2)), np.eye(4) / 4, atol=1e-16)
 
 
 def test_reconstruct_bell_from_coefficients():
     bf = BlochForm(2, np.zeros(3), np.zeros(3), np.diag([1.0, -1.0, 1.0]))
-    assert_allclose(reconstruct(bf, pauli_set()), BELL_RHO, atol=1e-15)
+    assert_allclose(reconstruct(bf, basis_for(2)), BELL_RHO, atol=1e-15)
 
 
 def test_reconstruct_dim_mismatch():
     bf = BlochForm(2, np.zeros(3), np.zeros(3), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="does not match"):
-        reconstruct(bf, gellmann_set())
+        reconstruct(bf, basis_for(3))
 
 
 def test_bloch_of_reduced_three_term():
     rho_a = partial_trace(THREE_TERM_RHO, "A", (2, 2))
-    assert_allclose(bloch_of_reduced(rho_a, pauli_set()), [2 / 3, 0, 1 / 3], atol=1e-14)
+    assert_allclose(bloch_of_reduced(rho_a, basis_for(2)), [2 / 3, 0, 1 / 3], atol=1e-14)
 
 
 def test_bloch_of_reduced_maximally_mixed():
-    assert_allclose(bloch_of_reduced(np.eye(2) / 2, pauli_set()), np.zeros(3), atol=1e-16)
+    assert_allclose(bloch_of_reduced(np.eye(2) / 2, basis_for(2)), np.zeros(3), atol=1e-16)
 
 
 def test_bloch_of_reduced_weighted_state_b_side():
     rho = density_from_state(state_from_amplitudes([1 / 3, 2 / 3, 0, 2 / 3], 2, 2))
     rho_b = partial_trace(rho, "B", (2, 2))
-    assert_allclose(bloch_of_reduced(rho_b, pauli_set()), [4 / 9, 0, -7 / 9], atol=1e-15)
+    assert_allclose(bloch_of_reduced(rho_b, basis_for(2)), [4 / 9, 0, -7 / 9], atol=1e-15)
+
+
+def test_bloch_of_reduced_rejects_nan():
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="imaginary residue nan"):
+            bloch_of_reduced(np.full((n, n), np.nan), basis_for(n))
 
 
 def _random_pure_rho(rng, n):
@@ -127,7 +133,7 @@ def _random_mixed_rho(rng, n):
     return sum(w * _random_pure_rho(rng, n) for w in weights)
 
 
-@pytest.mark.parametrize("basis", [pauli_set(), gellmann_set()])
+@pytest.mark.parametrize("basis", [basis_for(2), basis_for(3)])
 def test_roundtrip_random_pure_and_mixed(basis):
     rng = np.random.default_rng(100 + basis.dim)
     for _ in range(40):
@@ -136,7 +142,7 @@ def test_roundtrip_random_pure_and_mixed(basis):
             assert np.abs(reconstruct(bf, basis) - rho).max() <= 1e-12
 
 
-@pytest.mark.parametrize("basis", [pauli_set(), gellmann_set()])
+@pytest.mark.parametrize("basis", [basis_for(2), basis_for(3)])
 def test_u_and_v_match_reduced_bloch_vectors(basis):
     rng = np.random.default_rng(200 + basis.dim)
     n = basis.dim
@@ -160,7 +166,7 @@ def test_u_and_v_match_reduced_bloch_vectors(basis):
 )
 def test_pure_qubit_u_equals_v(amps):
     rho = density_from_state(state_from_amplitudes(amps, 2, 2))
-    bf = decompose(rho, pauli_set())
+    bf = decompose(rho, basis_for(2))
     assert abs(np.linalg.norm(bf.u) - np.linalg.norm(bf.v)) <= 1e-10
 
 
@@ -201,7 +207,7 @@ def _haar_stack(n, count, seed):
     return psi[:, :, None] * psi.conj()[:, None, :]
 
 
-@pytest.mark.parametrize("basis", [pauli_set(), gellmann_set()])
+@pytest.mark.parametrize("basis", [basis_for(2), basis_for(3)])
 @pytest.mark.parametrize("count", [1, 7, 64])
 def test_sparse_kernel_equals_dense_einsums(basis, count):
     for seed in range(3):
@@ -235,7 +241,7 @@ def test_sparse_kernel_equals_dense_einsums(basis, count):
         assert np.array_equal(np.abs(got - rho), np.abs(want - rho))
 
 
-@pytest.mark.parametrize("basis", [pauli_set(), gellmann_set()])
+@pytest.mark.parametrize("basis", [basis_for(2), basis_for(3)])
 def test_single_state_routes_equal_dense_einsums(basis):
     rho = _haar_stack(basis.dim, 5, 11)
     for one in rho:
@@ -248,7 +254,7 @@ def test_single_state_routes_equal_dense_einsums(basis):
         assert np.array_equal(reconstruct(bf, basis), want)
 
 
-@pytest.mark.parametrize("basis, nonzero", [(pauli_set(), 60), (gellmann_set(), 391)])
+@pytest.mark.parametrize("basis, nonzero", [(basis_for(2), 60), (basis_for(3), 391)])
 def test_term_tables_hold_the_dense_nonzeros(basis, nonzero):
     assert sum(np.count_nonzero(stack) for stack in _dense_stacks(basis)) == nonzero
     tables = bloch._tables(basis)

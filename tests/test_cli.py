@@ -535,6 +535,12 @@ def test_benchmark_command_lines_bind_without_argparse(tmp_path, monkeypatch, ca
         cli.main(["verify", "--samples=20"])
 
 
+def test_import_loads_no_thread_pool():
+    proc = _run_python("-c", "import sys, entdeg; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_module_entry_point():
     proc = _run_python("-m", "entdeg", "examples")
     assert proc.returncode == 0

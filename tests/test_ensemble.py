@@ -1,9 +1,10 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from entdeg import ensemble, measure
+from entdeg import cli, ensemble, measure
 from entdeg.bloch import decompose, reconstruct
 from entdeg.ensemble import (
     CHUNK,
@@ -127,13 +128,20 @@ def test_sweep_deterministic():
     assert a == b
 
 
-def test_sweep_worker_count_does_not_change_results():
-    serial = property_sweep(151, 2, seed=9)
-    threaded = property_sweep(151, 2, seed=9, workers=4)
-    assert serial == threaded
-    serial3 = property_sweep(60, 3, seed=11)
-    threaded3 = property_sweep(60, 3, seed=11, workers=3)
-    assert serial3 == threaded3
+def test_sweep_worker_count_does_not_change_results(monkeypatch, capsys):
+    # --workers is accepted and ignored: the sweep starts no thread
+    def refuse(self):
+        raise RuntimeError("the sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for dim, samples, seed in ((2, 151, 9), (3, 60, 11)):
+        runs = []
+        for workers in ("1", "4", "100000"):
+            argv = ["verify", "--dim", str(dim), "--samples", str(samples),
+                    "--seed", str(seed), "--workers", workers]
+            runs.append((cli.main(argv), capsys.readouterr().out))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == 0
 
 
 def scalar_route(psi):
@@ -269,11 +277,10 @@ def test_nan_sample_fails_the_sweep(monkeypatch):
         return residuals, p_e
 
     monkeypatch.setattr(ensemble, "_chunk_values", poisoned)
-    for workers in (1, 2):
-        rep = property_sweep(3 * CHUNK[2], 2, seed=3, workers=workers)
-        assert np.isnan(rep.worst_residuals["roundtrip"])
-        assert np.isnan(rep.p_e_min) and np.isnan(rep.p_e_max)
-        assert not rep.passed
+    rep = property_sweep(3 * CHUNK[2], 2, seed=3)
+    assert np.isnan(rep.worst_residuals["roundtrip"])
+    assert np.isnan(rep.p_e_min) and np.isnan(rep.p_e_max)
+    assert not rep.passed
 
 
 # Every gate of analyze in analyze's order: the constant that trips it on
@@ -347,11 +354,10 @@ def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, patch
             break
     else:
         pytest.fail("no sample failed the patched gate")
-    for workers in (1, 3):
-        with pytest.raises(error) as caught:
-            property_sweep(3 * CHUNK[2], 2, seed=21, workers=workers)
-        assert caught.type is error
-        assert str(caught.value) == message
+    with pytest.raises(error) as caught:
+        property_sweep(3 * CHUNK[2], 2, seed=21)
+    assert caught.type is error
+    assert str(caught.value) == message
 
 
 def test_non_finite_state_raises_naming_the_entry():
@@ -421,9 +427,6 @@ def test_sweep_argument_validation():
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*128\), got {seed}$"):
             property_sweep(10, 2, seed=seed)
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="^workers must be at least 1$"):
-            property_sweep(10, 2, seed=1, workers=workers)
     with pytest.raises(ValueError, match="local dimension"):
         property_sweep(10, 4, seed=1)
     for tol in (float("nan"), float("inf"), float("-inf"), -1.0):
@@ -431,19 +434,3 @@ def test_sweep_argument_validation():
             property_sweep(10, 2, seed=1, tol=tol)
     assert property_sweep(1, 2, seed=1, tol=0.0).tol == 0.0
 
-
-def test_thread_pool_capped_at_sample_count(monkeypatch):
-    pools = []
-
-    class RecordingPool(ensemble.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            # never more than two real threads, whatever was asked for
-            super().__init__(max_workers=min(max_workers, 2))
-
-    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
-    serial = property_sweep(3, 2, seed=4)
-    assert property_sweep(3, 2, seed=4, workers=50) == serial
-    assert property_sweep(1, 2, seed=4, workers=50) == property_sweep(1, 2, seed=4)
-    assert property_sweep(3, 2, seed=4, workers=2) == serial
-    assert pools == [3, 2]

@@ -79,6 +79,11 @@ def test_eigvals_reports_asymmetry():
         herm_eigvals(bad)
 
 
+def test_eigvals_rejects_nan():
+    with pytest.raises(ValueError, match=r"not Hermitian: max \|h - h\^dagger\| = nan"):
+        herm_eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 

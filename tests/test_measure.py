@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from entdeg.bloch import BlochForm, decompose
 from entdeg.ensemble import _haar_rows, state_for_index
-from entdeg.generators import gellmann_set, pauli_set
+from entdeg.generators import basis_for
 from entdeg.hyperbolic import degree_hyperbolic, rapidity_of
 from entdeg.measure import (
     NEAR_PRODUCT_FLOOR,
@@ -34,7 +34,7 @@ QUTRIT_MAX = state_from_amplitudes([1, 0, 0, 0, 1, 0, 0, 0, 1], 3, 3)
 
 def _bloch_of(psi):
     n = psi.dim_a
-    basis = pauli_set() if n == 2 else gellmann_set()
+    basis = basis_for(2) if n == 2 else basis_for(3)
     return decompose(density_from_state(psi), basis)
 
 
@@ -97,6 +97,15 @@ def test_schmidt_three_term():
     r = np.sqrt(5) / 3
     expected = (np.sqrt((1 + r) / 2), np.sqrt((1 - r) / 2))
     assert schmidt_coeffs(THREE_TERM) == pytest.approx(expected, abs=1e-14)
+
+
+def test_schmidt_rejects_nan(monkeypatch):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        schmidt_coeffs(StateVector(2, 2, np.array([np.nan, 0, 0, 1], dtype=complex)))
+    # the sum gate, reached only by a NaN spectrum of a finite state
+    monkeypatch.setattr("entdeg.measure.herm_eigvals", lambda h: np.array([np.nan, np.nan]))
+    with pytest.raises(ArithmeticError, match="reduced eigenvalues sum to nan"):
+        schmidt_coeffs(BELL)
 
 
 def test_schmidt_rejects_qutrits():

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from entdeg.states import (
     density_from_state,
-    is_pure,
     partial_trace,
     purity,
     state_from_amplitudes,
@@ -139,8 +138,6 @@ def test_partial_trace_dimension_mismatch():
 def test_purity_projector_and_mixed():
     assert purity(density_from_state(BELL)) == pytest.approx(1.0, abs=1e-12)
     assert purity(np.eye(4) / 4) == pytest.approx(0.25)
-    assert is_pure(density_from_state(THREE_TERM))
-    assert not is_pure(np.eye(4) / 4)
 
 
 def test_purity_of_reduced_three_term():
@@ -168,3 +165,12 @@ def test_validate_density_rejects_bad_inputs():
         validate_density(np.eye(2))
     with pytest.raises(ValueError, match="positive"):
         validate_density(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_validate_density_rejects_nan(monkeypatch):
+    with pytest.raises(ValueError, match="rho is not Hermitian: max asymmetry nan"):
+        validate_density(np.full((2, 2), np.nan))
+    # the eigenvalue floor, reached only by a NaN spectrum of a finite matrix
+    monkeypatch.setattr("entdeg.states.herm_eigvals", lambda h: np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError, match="lowest eigenvalue nan"):
+        validate_density(np.eye(2) / 2)
