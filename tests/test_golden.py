@@ -1,5 +1,8 @@
 """Byte-level output contract: sha256 of CLI stdout on a fixed golden set.
 
+The set covers ``verify`` on a grid of (dim, seed, samples), ``analyze`` in
+both formats on the built-in fixtures, and the ``examples`` table.
+
 The digests in ``golden.json`` were recorded from the per-state reference
 implementation of ``verify`` (one ``analyze`` call per sample) with numpy
 2.4 on x86-64 with AVX-512; the last bits of a residual can depend on
@@ -56,8 +59,8 @@ def verify_digest(dim: int, seed: int, samples: int, workers: int) -> str:
     return _run(verify_key(dim, seed, samples, workers).split())
 
 
-def fixture_digest(index: int, directory: Path) -> str:
-    """Digest of ``analyze --format json`` on built-in fixture ``index``."""
+def fixture_digest(index: int, directory: Path, fmt: str = "json") -> str:
+    """Digest of ``analyze --format fmt`` on built-in fixture ``index``."""
     psi = example_fixtures()[index].state
     path = directory / f"fixture{index}.json"
     payload = {
@@ -65,11 +68,14 @@ def fixture_digest(index: int, directory: Path) -> str:
         "amplitudes": [[z.real, z.imag] for z in psi.amplitudes.tolist()],
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
-    return _run(["analyze", "--input", str(path), "--format", "json"])
+    return _run(["analyze", "--input", str(path), "--format", fmt])
 
 
-def fixture_key(index: int) -> str:
-    return f"analyze --format json: {example_fixtures()[index].name}"
+def fixture_key(index: int, fmt: str = "json") -> str:
+    return f"analyze --format {fmt}: {example_fixtures()[index].name}"
+
+
+FORMATS = ("json", "table")
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +93,22 @@ def test_analyze_fixture_bytes(golden, tmp_path, index):
     assert fixture_digest(index, tmp_path) == golden[fixture_key(index)]
 
 
+@pytest.mark.parametrize("index", range(len(example_fixtures())))
+def test_analyze_fixture_table_bytes(golden, tmp_path, index):
+    assert fixture_digest(index, tmp_path, "table") == golden[fixture_key(index, "table")]
+
+
+def test_examples_stdout_bytes(golden):
+    assert _run(["examples"]) == golden["examples"]
+
+
 def write_golden() -> None:
     table = {verify_key(*c): verify_digest(*c) for c in verify_cases()}
     with tempfile.TemporaryDirectory() as tmp:
-        for index in range(len(example_fixtures())):
-            table[fixture_key(index)] = fixture_digest(index, Path(tmp))
+        for fmt in FORMATS:
+            for index in range(len(example_fixtures())):
+                table[fixture_key(index, fmt)] = fixture_digest(index, Path(tmp), fmt)
+    table["examples"] = _run(["examples"])
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
 
 
