@@ -34,10 +34,15 @@ and the dense sums of the expansion, under these rules:
   what numpy's complex multiply gives for such a factor;
 - the parts go back into C-ordered complex arrays in the layout the dense
   contraction produced, since later reductions round by memory layout.
+
+The Bloch-form gates are written once, in ``_decompose_stack``: ``decompose``
+is row 0 of a stack of one, and ``measure._analyze_stack`` appends the same
+gates to its own. ``_raise_first`` is where any gate becomes an exception.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -286,38 +291,75 @@ def _scaled(u_raw, v_raw, beta_raw, local_dim: int):
     return s * u_raw.real, s * v_raw.real, 1.5 * beta_raw.real
 
 
+def _gate(failed, error, message, *values):
+    """A gate: the mask of failing rows, and the exception of a failing row i."""
+    return failed, lambda i: error(message.format(*(val[i].item() for val in values)))
+
+
+def _raise_first(gates, i: int) -> None:
+    """Raise the exception of the first of ``gates`` that row i fails."""
+    for failed, error in gates:
+        if failed[i]:
+            raise error(i)
+
+
+def _not_finite(rho: np.ndarray) -> ValueError:
+    i, j = np.argwhere(~np.isfinite(rho))[0]
+    return ValueError(f"rho[{i}, {j}] = {rho[i, j]} is not finite")
+
+
+def _residue_gate(residue: np.ndarray):
+    return _gate(~(residue <= IMAG_RESIDUE_TOL), ValueError,  # NaN fails too
+                 "imaginary residue {:.3e} in the projection traces, input is not Hermitian",
+                 residue)
+
+
+# What ``_decompose_stack`` computes, one row per state; ``sq`` and ``norms``
+# hold the squared norms and norms of u (row 0) and of v (row 1)
+_BlochStack = namedtuple("_BlochStack", "u v beta sq norms gates")
+
+
+def _decompose_stack(rho: np.ndarray, basis: GeneratorSet) -> _BlochStack:
+    """``decompose`` over a C-ordered stack rho (N, d, d) of finite matrices.
+
+    Row i equals, bit for bit, what ``decompose`` gives for rho[i]. The gates
+    come in decompose's order: the imaginary residue, then at dim 2 |u| and
+    |v| against 1 + ``LOCAL_NORM_SLACK``.
+    """
+    n = basis.dim
+    u_raw, v_raw, beta_raw, residue = _project(rho, basis)
+    u, v, beta = _scaled(u_raw, v_raw, beta_raw, n)
+    # squared norms as np.linalg.norm sums them: it dots a contiguous copy
+    uv = np.concatenate([u, v])
+    sq = (uv[:, None, :] @ uv[:, :, None]).reshape(2, len(rho))
+    norms = np.sqrt(sq)
+    gates = [_residue_gate(residue)]
+    if n == 2:
+        gates += [
+            _gate(~(norm <= 1.0 + LOCAL_NORM_SLACK), ValueError,  # NaN fails too
+                  f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norm)
+            for name, norm in zip("uv", norms)
+        ]
+    return _BlochStack(u, v, beta, sq, norms, gates)
+
+
 def decompose(rho, basis: GeneratorSet) -> BlochForm:
     """Extract (u, v, beta) from a joint density matrix by trace projection.
 
     The projecting traces must be real to within ``IMAG_RESIDUE_TOL``; a
     larger imaginary residue signals a non-Hermitian input and raises. A
-    NaN or infinite entry raises too, since the ``x > tol`` gates below let
-    NaN through.
+    NaN or infinite entry raises too. The matrix is row 0 of a stack of one
+    in ``_decompose_stack``; the first gate it fails raises.
     """
     n = basis.dim
     a = np.asarray(rho, dtype=complex)
     if a.shape != (n * n, n * n):
         raise ValueError(f"rho has shape {a.shape}, expected {(n * n, n * n)}")
     if not np.isfinite(a).all():
-        i, j = np.argwhere(~np.isfinite(a))[0]
-        raise ValueError(f"rho[{i}, {j}] = {a[i, j]} is not finite")
-    u_raw, v_raw, beta_raw, residues = _project(np.ascontiguousarray(a)[None], basis)
-
-    residue = float(residues[0])
-    if residue > IMAG_RESIDUE_TOL:
-        raise ValueError(
-            f"imaginary residue {residue:.3e} in the projection traces, "
-            "input is not Hermitian"
-        )
-
-    u, v, beta = _scaled(u_raw[0], v_raw[0], beta_raw[0], n)
-    if n == 2:
-        for name, vec in (("u", u), ("v", v)):
-            ln = float(np.linalg.norm(vec))
-            if ln > 1.0 + LOCAL_NORM_SLACK:
-                raise ValueError(f"|{name}| = {ln} exceeds 1, rho is not a qubit state")
-
-    return BlochForm(local_dim=n, u=u, v=v, beta=beta)
+        raise _not_finite(a)
+    s = _decompose_stack(np.ascontiguousarray(a)[None], basis)
+    _raise_first(s.gates, 0)
+    return BlochForm(local_dim=n, u=s.u[0], v=s.v[0], beta=s.beta[0])
 
 
 def reconstruct(bf: BlochForm, basis: GeneratorSet) -> np.ndarray:
@@ -344,10 +386,5 @@ def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:
         raise ValueError(f"rho_local has shape {a.shape}, expected {(n, n)}")
     scale = 1.0 if n == 2 else np.sqrt(3.0) / 2.0
     comps = np.einsum("aij,ji->a", np.stack(basis.generators), a)
-    residue = float(np.abs(comps.imag).max())
-    if not residue <= IMAG_RESIDUE_TOL:  # NaN fails too
-        raise ValueError(
-            f"imaginary residue {residue:.3e} in the projection traces, "
-            "input is not Hermitian"
-        )
+    _raise_first([_residue_gate(np.abs(comps.imag).max(keepdims=True))], 0)
     return scale * comps.real

@@ -26,9 +26,11 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .ensemble import property_sweep
 from .fixtures import example_fixtures
-from .measure import RESIDUAL_KEYS, EntanglementReport, PurityViolation, analyze
+from .measure import EntanglementReport, PurityViolation, analyze
 from .states import state_from_amplitudes
 
 EXAMPLES_TOL = 1e-12
@@ -129,27 +131,12 @@ def _fmt(x) -> str:
 
 
 def _report_table(rep: EntanglementReport) -> str:
-    lines = []
-    for name in (
-        "local_dim",
-        "p_e_det",
-        "p_e_schmidt",
-        "concurrence",
-        "kappa",
-        "u",
-        "v",
-        "u_norm",
-        "v_norm",
-        "purity",
-        "alpha_det",
-        "normalization_warning",
-        "oracle_checked",
-    ):
-        lines.append(f"{name:<24}{_fmt(getattr(rep, name))}")
+    # the fields in declaration order, then the residuals in analyze's order
+    lines = [f"{f.name:<24}{_fmt(getattr(rep, f.name))}"
+             for f in dataclasses.fields(rep) if f.name != "constraint_residuals"]
     if rep.constraint_residuals is not None:
         lines.append("constraint_residuals")
-        for key in RESIDUAL_KEYS:
-            lines.append(f"  {key:<22}{rep.constraint_residuals[key]:.3e}")
+        lines += [f"  {key:<22}{val:.3e}" for key, val in rep.constraint_residuals.items()]
     return "\n".join(lines)
 
 
@@ -213,7 +200,7 @@ def cmd_examples(args) -> int:
     for fx in example_fixtures():
         rep = analyze(fx.state)
         dev = abs(rep.p_e_det - fx.expected_pe)
-        worst = max(worst, dev)
+        worst = float(np.maximum(worst, dev))  # keeps NaN, which max(worst, dev) drops
         print(
             f"{fx.name:<30}{fx.expected_pe:>20.15g}{rep.p_e_det:>22.15g}{dev:>12.3e}"
         )

@@ -14,7 +14,8 @@ independent reference the tests hold it to.
 The sweep evaluates each draw ``CHUNK[local_dim]`` samples at a time. A
 chunk's amplitudes go through ``measure._analyze_stack``, the stacked kernel
 of which ``analyze`` is row 0 of a stack of one, so every report field,
-oracle, identity and gate is the single-state one bit for bit. The sweep adds only what
+oracle, identity and gate is the single-state one bit for bit, and a failing
+sample raises from the chunk's own stack. The sweep adds only what
 ``analyze`` does not do: the round trip through the expansion
 (``bloch._expand``, the kernel of ``reconstruct``), the hyperbolic route,
 the comparison with sqrt(1 - |u|^2) and the reductions over the chunk.
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _expand
+from .bloch import _expand, _raise_first
 from .generators import basis_for
 from .hyperbolic import _ARTANH_SAFE_MARGIN
-from .measure import _analyze_stack, _clamp_low, analyze
+from .measure import _analyze_stack, _clamp_low, analyze  # analyze: bench/test_perfbench.py
 from .states import StateVector, state_from_amplitudes
 
 _U64_SHIFT = np.uint64(11)
@@ -191,25 +192,20 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
     return amps / np.sqrt(sq[:, :, 0])
 
 
-def _chunk_values(
-    local_dim: int, seed: int, lo: int, psi: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-sample residuals and P_E of the amplitude rows psi of samples lo, lo+1, ...
+def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-sample residuals and P_E of the amplitude rows psi.
 
     Entry ``i`` of every array equals, bit for bit, what the single-state
-    route gives for ``state_for_index(local_dim, seed, lo + i)``: ``analyze``
-    plus the decompose / reconstruct round trip, and at dim 2
-    ``degree_hyperbolic``. A sample failing any of ``analyze``'s gates
-    raises the same exception; the lowest failing index wins.
+    route gives for the state psi[i]: ``analyze`` plus the decompose /
+    reconstruct round trip, and at dim 2 ``degree_hyperbolic``. The lowest
+    row failing any of ``analyze``'s gates raises from this stack, with the
+    exception and message ``analyze`` raises for that state.
     """
     n = local_dim
     s = _analyze_stack(psi, n)
     failed = np.logical_or.reduce([mask for mask, _ in s.gates])
     if failed.any():
-        # analyze runs the same gates on the same values, so it raises the
-        # exception, message included, of the lowest failing sample
-        analyze(state_for_index(n, seed, lo + int(np.argmax(failed))))
-        raise AssertionError("a sample failed a stacked gate but passes analyze")
+        _raise_first(s.gates, int(np.argmax(failed)))
 
     back = _expand(s.u, s.v, s.beta, basis_for(n))
     # np.abs of the complex difference, as ``reconstruct(...) - rho`` is taken
@@ -265,8 +261,8 @@ def _sweep_range(local_dim: int, seed: int, lo: int, hi: int):
     """
     worst: dict[str, float] = {}
     p_min, p_max = np.inf, -np.inf
-    for start, psi in _chunks(local_dim, seed, lo, hi):
-        residuals, p_e = _chunk_values(local_dim, seed, start, psi)
+    for _, psi in _chunks(local_dim, seed, lo, hi):
+        residuals, p_e = _chunk_values(local_dim, psi)
         for key, vals in residuals.items():
             worst[key] = float(np.maximum(worst.get(key, 0.0), vals.max()))
         p_min = float(np.minimum(p_min, p_e.min()))

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bloch
 from .generators import basis_for
 
 LIGHT_CONE_MARGIN = 1e-12
-
-BLOCH_NORM_SLACK = 1e-10
 
 # below this distance from |u| = 1, 1/cosh(artanh|u|) loses accuracy and
 # degree_hyperbolic falls back to the algebraic sqrt((1-|u|)(1+|u|))
@@ -94,12 +93,12 @@ def degree_hyperbolic(u) -> float:
     """Entanglement degree from the Bloch vector alone: 1/cosh(artanh |u|).
 
     Equals sqrt(1 - |u|^2); the algebraic form takes over close to and at
-    |u| = 1, where artanh is unusable. |u| beyond 1 + 1e-10, or NaN, is
-    rejected as not a Bloch vector.
+    |u| = 1, where artanh is unusable. |u| beyond decompose's bound
+    1 + ``bloch.LOCAL_NORM_SLACK``, or NaN, is rejected as not a Bloch vector.
     """
     vec = np.asarray(u, dtype=float)
     n = float(np.linalg.norm(vec))
-    if not n <= 1.0 + BLOCH_NORM_SLACK:  # NaN fails too
+    if not n <= 1.0 + bloch.LOCAL_NORM_SLACK:  # NaN fails too
         raise ValueError(f"|u| = {n} exceeds 1 or is NaN, not a valid Bloch vector")
     if n >= 1.0:
         return 0.0

@@ -21,8 +21,10 @@ as not independently cross-checked.
 
 ``analyze`` is row 0 of a stack of one in ``_analyze_stack``, the kernel the
 verify sweep runs over its chunks of Haar samples, so every report field,
-oracle, identity and gate is written once. The public single-state helpers
-(``alpha_matrix``, ``degree_det``, ``schmidt_coeffs``, ``concurrence_pure``,
+oracle, identity and gate is written once. The Bloch-form gates belong to
+``bloch._decompose_stack``, which the kernel calls after its purity and
+finite gates. The public single-state helpers (``alpha_matrix``,
+``degree_det``, ``schmidt_coeffs``, ``concurrence_pure``,
 ``purity_constraints_report``) are separate routes the tests hold it to.
 """
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import IMAG_RESIDUE_TOL, LOCAL_NORM_SLACK, BlochForm, _project, _scaled
+from .bloch import BlochForm, _decompose_stack, _gate, _not_finite, _raise_first
 from .generators import basis_for
 from .linalg import HERMITICITY_TOL, det_real, herm_eigvals
 from .states import PURITY_GATE_TOL, StateVector, density_from_state, partial_trace
@@ -54,15 +56,6 @@ NEAR_PRODUCT_FLOOR = 3e-5
 
 # the squared Schmidt coefficients must sum to 1 this closely
 SCHMIDT_SUM_TOL = 1e-12
-
-RESIDUAL_KEYS = (
-    "beta_v_eq_u",
-    "beta_t_u_eq_v",
-    "beta_sq_sum",
-    "beta_cofactor",
-    "u_eq_v",
-    "det_beta_identity",
-)
 
 
 class PurityViolation(ArithmeticError):
@@ -220,18 +213,8 @@ def purity_constraints_report(bf: BlochForm) -> dict[str, float]:
 
 
 def _clamp_low(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``max(0.0, x)`` with Python's semantics (NaN and -0.0 give 0.0)."""
-    return np.where(x > 0.0, x, 0.0)
-
-
-def _gate(failed, error, message, *values):
-    """A gate: the mask of failing rows, and the exception of a failing row i."""
-    return failed, lambda i: error(message.format(*(val[i].item() for val in values)))
-
-
-def _not_finite(rho: np.ndarray) -> ValueError:
-    i, j = np.argwhere(~np.isfinite(rho))[0]
-    return ValueError(f"rho[{i}, {j}] = {rho[i, j]} is not finite")
+    """Elementwise ``max(0.0, x)`` as Python gives it (-0.0 gives 0.0), but NaN stays NaN."""
+    return np.where(x <= 0.0, 0.0, x)
 
 
 # What ``_analyze_stack`` computes, one row per state. ``kappa`` (the rows k1
@@ -248,8 +231,8 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     """``analyze`` over the amplitude rows psi (N, n * n), one row per state.
 
     Row i equals, bit for bit, the single-state values of the state psi[i]:
-    norms dot contiguous copies, and ``** 0.25`` and the concurrence's
-    complex products run in Python's scalar arithmetic.
+    the Bloch data and norms are ``bloch._decompose_stack``'s, and ``** 0.25``
+    and the concurrence's complex products run in Python's scalar arithmetic.
     """
     count = len(psi)
     rho = psi[:, :, None] * psi.conj()[:, None, :]
@@ -264,21 +247,10 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     if not finite.all():
         rho = np.where(finite[:, None, None], rho, 0.0)  # keeps NaN out of what follows
 
-    u_raw, v_raw, beta_raw, residue = _project(rho, basis_for(n))
-    gates.append(_gate(residue > IMAG_RESIDUE_TOL, ValueError, "imaginary residue {:.3e} "
-                       "in the projection traces, input is not Hermitian", residue))
-    u, v, beta = _scaled(u_raw, v_raw, beta_raw, n)
-    # squared norms as np.linalg.norm sums them: it dots a contiguous copy
-    uv = np.concatenate([u, v])
-    sq = (uv[:, None, :] @ uv[:, :, None])[:, 0, 0]
-    norms = np.sqrt(sq)
-    u_norm, v_norm = norms[:count], norms[count:]
-    if n == 2:
-        over = norms > 1.0 + LOCAL_NORM_SLACK
-        gates.append(_gate(over[:count], ValueError,
-                           "|u| = {} exceeds 1, rho is not a qubit state", u_norm))
-        gates.append(_gate(over[count:], ValueError,
-                           "|v| = {} exceeds 1, rho is not a qubit state", v_norm))
+    bloch = _decompose_stack(rho, basis_for(n))
+    gates += bloch.gates
+    u, v, beta = bloch.u, bloch.v, bloch.beta
+    u_norm, v_norm = bloch.norms
 
     alpha = np.empty((count, n * n, n * n))
     alpha[:, 0, 0] = 1.0
@@ -289,8 +261,8 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     gates.append(_gate(d_raw < -DET_CLAMP_WINDOW, PurityViolation,
                        "determinant sign inconsistent with purity: -det(alpha) = {:.3e}", d_raw))
     # np.float_power calls libm pow, as Python's float ** does (np.power
-    # rounds differently); the clamp keeps NaN, which _clamp_low would zero
-    p_e = np.float_power(np.where(d_raw < 0.0, 0.0, d_raw), 0.25)
+    # rounds differently); pow(-0.0, 0.25) is +0.0 as well
+    p_e = np.float_power(_clamp_low(d_raw), 0.25)
     kappa = p_e_schmidt = conc = residuals = None
     if n == 2:
         # schmidt_coeffs: the eigenvalues of the reduced density matrix
@@ -311,7 +283,7 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
         conc = np.array([2.0 * abs(a * d - b * c) for a, b, c, d in psi.tolist()])
 
         # purity_constraints_report; its np.sqrt(un2) is u_norm
-        un2, vn2 = sq[:count], sq[count:]
+        un2, vn2 = bloch.sq
         cof = _signed_cofactors_3x3(beta)
         residuals = {
             "beta_v_eq_u": np.abs((beta @ v[:, :, None])[:, :, 0] - u).max(axis=1),
@@ -351,9 +323,7 @@ def analyze(psi: StateVector) -> EntanglementReport:
         )
     n = psi.dim_a
     s = _analyze_stack(psi.amplitudes[None], n)
-    for failed, error in s.gates:
-        if failed[0]:
-            raise error(0)
+    _raise_first(s.gates, 0)
 
     qubit = n == 2
     return EntanglementReport(

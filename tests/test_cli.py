@@ -357,6 +357,20 @@ def test_examples_command(capsys):
     assert out.count("\n") == 8  # header + six fixtures + summary line
 
 
+def test_examples_fails_on_a_nan_deviation(monkeypatch, capsys):
+    # the worst deviation must keep a NaN row, which the builtin max drops
+    fixtures = example_fixtures()
+
+    def nan_for_first(psi):
+        rep = analyze(psi)
+        return dataclasses.replace(rep, p_e_det=math.nan) if psi is fixtures[0].state else rep
+
+    monkeypatch.setattr(cli, "example_fixtures", lambda: fixtures)
+    monkeypatch.setattr(cli, "analyze", nan_for_first)
+    assert cli.main(["examples"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("worst deviation nan")
+
+
 def test_examples_deterministic(capsys):
     cli.main(["examples"])
     first = capsys.readouterr().out

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entdeg import cli, ensemble, measure
+from entdeg import bloch, cli, ensemble, measure
 from entdeg.bloch import decompose, reconstruct
 from entdeg.ensemble import (
     CHUNK,
@@ -208,10 +208,7 @@ def test_chunk_values_equal_scalar_route_bit_for_bit(dim, seed):
     # 300 samples from an unaligned start, cut into chunks the way the sweep
     # cuts them, so chunk boundaries fall inside the range
     lo, hi = CHUNK[dim] // 2, CHUNK[dim] // 2 + 300
-    parts = [
-        ensemble._chunk_values(dim, seed, start, psi)
-        for start, psi in ensemble._chunks(dim, seed, lo, hi)
-    ]
+    parts = [ensemble._chunk_values(dim, psi) for _, psi in ensemble._chunks(dim, seed, lo, hi)]
     p_e = np.concatenate([part[1] for part in parts])
     keys = QUBIT_KEYS if dim == 2 else QUTRIT_KEYS
     assert all(set(part[0]) == keys for part in parts)
@@ -267,19 +264,38 @@ def test_reused_generator_matches_fresh_philox(dim, idx):
 
 def test_nan_sample_fails_the_sweep(monkeypatch):
     real_chunk = ensemble._chunk_values
+    calls = []
 
-    def poisoned(local_dim, seed, lo, psi):
-        residuals, p_e = real_chunk(local_dim, seed, lo, psi)
-        if lo <= 70 < lo + len(psi):
-            row = 70 - lo
-            residuals["roundtrip"][row] = np.nan
-            p_e[row] = np.nan
+    def poisoned(local_dim, psi):
+        residuals, p_e = real_chunk(local_dim, psi)
+        if not calls:  # sample 70 sits in the first chunk
+            residuals["roundtrip"][70] = np.nan
+            p_e[70] = np.nan
+        calls.append(len(psi))
         return residuals, p_e
 
     monkeypatch.setattr(ensemble, "_chunk_values", poisoned)
     rep = property_sweep(3 * CHUNK[2], 2, seed=3)
+    assert calls == [CHUNK[2]] * 3
     assert np.isnan(rep.worst_residuals["roundtrip"])
     assert np.isnan(rep.p_e_min) and np.isnan(rep.p_e_max)
+    assert not rep.passed
+
+
+def test_nan_determinant_fails_the_qutrit_sweep(monkeypatch):
+    # at dim 3 P_E enters no residual: the determinant's negativity must keep NaN
+    real_stack = ensemble._analyze_stack
+
+    def poisoned(psi, n):
+        s = real_stack(psi, n)
+        s.alpha_det[5] = np.nan
+        s.p_e[5] = np.nan
+        return s
+
+    monkeypatch.setattr(ensemble, "_analyze_stack", poisoned)
+    rep = property_sweep(20, 3, seed=4)
+    assert np.isnan(rep.worst_residuals["alpha_det_negativity"])
+    assert np.isnan(rep.p_e_min)
     assert not rep.passed
 
 
@@ -335,6 +351,11 @@ V_BOUND = (
 )
 
 
+def owner(gate):
+    """The module that reads the gate's constant."""
+    return bloch if gate in ("IMAG_RESIDUE_TOL", "LOCAL_NORM_SLACK") else measure
+
+
 @pytest.mark.parametrize(
     "patched",
     # a gate and every later one trip together: the earliest one must raise
@@ -343,7 +364,7 @@ V_BOUND = (
 )
 def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, patched):
     for gate, value, _, _ in patched:
-        monkeypatch.setattr(measure, gate, value)
+        monkeypatch.setattr(owner(gate), gate, value)
     _, _, error, message = patched[0]
     for idx in range(3 * CHUNK[2]):
         try:
@@ -354,10 +375,32 @@ def test_gate_failure_raises_like_analyze_on_the_lowest_index(monkeypatch, patch
             break
     else:
         pytest.fail("no sample failed the patched gate")
+
+    # the sweep raises from its own stack: it neither redraws the sample nor
+    # runs analyze on it
+    def unreachable(*args):
+        raise AssertionError("the sweep must not call this")
+
+    monkeypatch.setattr(ensemble, "state_for_index", unreachable)
+    monkeypatch.setattr(ensemble, "analyze", unreachable)
     with pytest.raises(error) as caught:
         property_sweep(3 * CHUNK[2], 2, seed=21)
     assert caught.type is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("gate", ["IMAG_RESIDUE_TOL", "LOCAL_NORM_SLACK"])
+def test_decompose_and_analyze_read_one_bloch_bound(monkeypatch, gate):
+    monkeypatch.setattr(bloch, gate, -1.0)
+    psi = state_for_index(2, 21, 0)
+    with pytest.raises(ValueError) as from_decompose:
+        decompose(density_from_state(psi), basis_for(2))
+    with pytest.raises(ValueError) as from_analyze:
+        analyze(psi)
+    assert str(from_decompose.value) == str(from_analyze.value)
+    assert ("imaginary residue" if gate == "IMAG_RESIDUE_TOL" else "|u| = ") in str(
+        from_analyze.value
+    )
 
 
 def test_non_finite_state_raises_naming_the_entry():
@@ -386,7 +429,7 @@ def test_chunk_working_set_stays_small(dim):
     # a qutrit chunk of the dense Kronecker route peaked at about 500 KiB of
     # numpy allocations; a larger working set shows up as peak RSS in verify
     def chunk(seed):
-        ensemble._chunk_values(dim, seed, 0, ensemble._haar_rows(dim, seed, 0, CHUNK[dim]))
+        ensemble._chunk_values(dim, ensemble._haar_rows(dim, seed, 0, CHUNK[dim]))
 
     chunk(1)  # term tables and first-use costs
     assert traced_peak(lambda: chunk(2)) <= 640 * 1024

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entdeg import bloch
 from entdeg.hyperbolic import (
     RapidityParam,
     boost_density_residual,
@@ -102,6 +103,15 @@ def test_degree_three_term_u():
 def test_degree_rejects_invalid_bloch_vector():
     with pytest.raises(ValueError, match="exceeds 1"):
         degree_hyperbolic([0, 0, 1.001])
+
+
+def test_degree_reads_the_bloch_norm_bound(monkeypatch):
+    # one |u| <= 1 bound for decompose, analyze and the hyperbolic form
+    monkeypatch.setattr(bloch, "LOCAL_NORM_SLACK", 0.01)
+    assert degree_hyperbolic([0, 0, 1.005]) == 0.0
+    monkeypatch.setattr(bloch, "LOCAL_NORM_SLACK", -0.5)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        degree_hyperbolic(THREE_TERM_U)
 
 
 def test_reciprocal_cosh_equals_algebraic_form():
