@@ -335,11 +335,10 @@ def _decompose_stack(rho: np.ndarray, basis: GeneratorSet) -> _BlochStack:
     norms = np.sqrt(sq)
     gates = [_residue_gate(residue)]
     if n == 2:
-        gates += [
-            _gate(~(norm <= 1.0 + LOCAL_NORM_SLACK), ValueError,  # NaN fails too
-                  f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norm)
-            for name, norm in zip("uv", norms)
-        ]
+        over = ~(norms <= 1.0 + LOCAL_NORM_SLACK)  # NaN fails too
+        gates += [_gate(over[k], ValueError,
+                        f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norms[k])
+                  for k, name in enumerate("uv")]
     return _BlochStack(u, v, beta, sq, norms, gates)
 
 

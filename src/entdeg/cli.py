@@ -73,6 +73,11 @@ def _sorted_fields(cls) -> tuple[str, ...]:
     return tuple(sorted(f.name for f in dataclasses.fields(cls)))
 
 
+@functools.cache
+def _table_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name != "constraint_residuals")
+
+
 def _emit(obj, pad: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it at
     indentation ``pad``, with every float rounded by ``round15`` and every
@@ -132,8 +137,7 @@ def _fmt(x) -> str:
 
 def _report_table(rep: EntanglementReport) -> str:
     # the fields in declaration order, then the residuals in analyze's order
-    lines = [f"{f.name:<24}{_fmt(getattr(rep, f.name))}"
-             for f in dataclasses.fields(rep) if f.name != "constraint_residuals"]
+    lines = [f"{name:<24}{_fmt(getattr(rep, name))}" for name in _table_fields(type(rep))]
     if rep.constraint_residuals is not None:
         lines.append("constraint_residuals")
         lines += [f"  {key:<22}{val:.3e}" for key, val in rep.constraint_residuals.items()]
