@@ -37,7 +37,8 @@ and the dense sums of the expansion, under these rules:
 
 The Bloch-form gates are written once, in ``_decompose_stack``: ``decompose``
 is row 0 of a stack of one, and ``measure._analyze_stack`` appends the same
-gates to its own. ``_raise_first`` is where any gate becomes an exception.
+gates to its own. Each gate's mask is the comparison a row must pass, so NaN
+fails it; ``_raise_first`` is where any gate becomes an exception.
 """
 
 from __future__ import annotations
@@ -284,22 +285,27 @@ def _expand(u, v, beta, basis: GeneratorSet) -> np.ndarray:
 
 
 def _scaled(u_raw, v_raw, beta_raw, local_dim: int):
-    """(u, v, beta) from the raw traces: the real parts, scaled at dim 3."""
+    """(u, v, beta) from the raw traces: the real parts, scaled at dim 3.
+
+    The dim-2 parts stay strided ``.real`` views on purpose: contiguous copies
+    send the identity residuals' matmuls down another numpy loop, which rounds
+    differently (``test_golden.py::test_verify_stdout_bytes[2-0-65-1]`` fails).
+    """
     if local_dim == 2:
         return u_raw.real, v_raw.real, beta_raw.real
     s = np.sqrt(3.0) / 2.0
     return s * u_raw.real, s * v_raw.real, 1.5 * beta_raw.real
 
 
-def _gate(failed, error, message, *values):
-    """A gate: the mask of failing rows, and the exception of a failing row i."""
-    return failed, lambda i: error(message.format(*(val[i].item() for val in values)))
+def _gate(passed, error, message, *values):
+    """A gate: the mask of rows that pass it, and the exception of a row i that does not."""
+    return passed, lambda i: error(message.format(*(val[i].item() for val in values)))
 
 
 def _raise_first(gates, i: int) -> None:
-    """Raise the exception of the first of ``gates`` that row i fails."""
-    for failed, error in gates:
-        if failed[i]:
+    """Raise the exception of the first of ``gates`` that row i does not pass."""
+    for passed, error in gates:
+        if not passed[i]:
             raise error(i)
 
 
@@ -309,7 +315,7 @@ def _not_finite(rho: np.ndarray) -> ValueError:
 
 
 def _residue_gate(residue: np.ndarray):
-    return _gate(~(residue <= IMAG_RESIDUE_TOL), ValueError,  # NaN fails too
+    return _gate(residue <= IMAG_RESIDUE_TOL, ValueError,
                  "imaginary residue {:.3e} in the projection traces, input is not Hermitian",
                  residue)
 
@@ -323,8 +329,8 @@ def _decompose_stack(rho: np.ndarray, basis: GeneratorSet) -> _BlochStack:
     """``decompose`` over a C-ordered stack rho (N, d, d) of finite matrices.
 
     Row i equals, bit for bit, what ``decompose`` gives for rho[i]. The gates
-    come in decompose's order: the imaginary residue, then at dim 2 |u| and
-    |v| against 1 + ``LOCAL_NORM_SLACK``.
+    come in decompose's order: the residue against ``IMAG_RESIDUE_TOL``,
+    then at dim 2 |u| and |v| against 1 + ``LOCAL_NORM_SLACK``.
     """
     n = basis.dim
     u_raw, v_raw, beta_raw, residue = _project(rho, basis)
@@ -335,8 +341,8 @@ def _decompose_stack(rho: np.ndarray, basis: GeneratorSet) -> _BlochStack:
     norms = np.sqrt(sq)
     gates = [_residue_gate(residue)]
     if n == 2:
-        over = ~(norms <= 1.0 + LOCAL_NORM_SLACK)  # NaN fails too
-        gates += [_gate(over[k], ValueError,
+        within = norms <= 1.0 + LOCAL_NORM_SLACK
+        gates += [_gate(within[k], ValueError,
                         f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norms[k])
                   for k, name in enumerate("uv")]
     return _BlochStack(u, v, beta, sq, norms, gates)
@@ -346,7 +352,7 @@ def decompose(rho, basis: GeneratorSet) -> BlochForm:
     """Extract (u, v, beta) from a joint density matrix by trace projection.
 
     The projecting traces must be real to within ``IMAG_RESIDUE_TOL``; a
-    larger imaginary residue signals a non-Hermitian input and raises. A
+    larger imaginary part signals a non-Hermitian input and raises. A
     NaN or infinite entry raises too. The matrix is row 0 of a stack of one
     in ``_decompose_stack``; the first gate it fails raises.
     """

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .ensemble import property_sweep
+from .ensemble import DEFAULT_TOL, property_sweep
 from .fixtures import example_fixtures
 from .measure import EntanglementReport, PurityViolation, analyze
 from .states import state_from_amplitudes
@@ -45,18 +45,15 @@ def round15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-# json.dumps spells the non-finite floats this way; %g spells them nan, inf, -inf
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _float_text(x: float) -> str:
-    """``repr(round15(x))`` as json.dumps writes it, from one ``%.15g`` string.
+    """``repr(round15(x))`` as json.dumps writes it, from one ``%.15g`` string,
+    but ``null`` for NaN and +-inf (see ``emit_json``).
 
     15 digits of a normal double round-trip, so repr of their value has the
     same digits. The spellings differ only where %g writes no point ('1',
-    '-0', 'nan', 'inf') or the exponent 15, which repr writes in fixed point
-    ('1e+15' against '1000000000000000.0'). A subnormal holds fewer digits,
-    so repr may write fewer; below 1e-300 repr spells the value itself.
+    '-0') or the exponent 15, which repr writes in fixed point ('1e+15'
+    against '1000000000000000.0'). A subnormal holds fewer digits, so repr
+    may write fewer; below 1e-300 repr spells the value itself.
     """
     text = f"{x:.15g}"
     if "e" in text:
@@ -65,7 +62,7 @@ def _float_text(x: float) -> str:
         return text
     if "." in text:
         return text
-    return _NON_FINITE.get(text) or text + ".0"
+    return "null" if text in ("nan", "inf", "-inf") else text + ".0"
 
 
 @functools.cache
@@ -117,8 +114,10 @@ def emit_json(obj) -> str:
     """Serialize with 15-significant-digit floats and sorted keys.
 
     The bytes are those of ``json.dumps(obj, indent=2, sort_keys=True)`` on
-    the rounded values; with ``indent`` json.dumps runs its pure-Python
-    encoder, which costs about twice this walk over the report schema.
+    the rounded values, but for one departure: NaN and +-inf are written as
+    ``null``, where json.dumps writes ``NaN`` and ``Infinity``, which strict
+    JSON rejects. With ``indent`` json.dumps runs its pure-Python encoder,
+    which costs about twice this walk over the report schema.
     """
     return _emit(obj, "")
 
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--samples", dict(type=int, default=10000)),
         ("--dim", dict(type=int, choices=(2, 3), default=2)),
         ("--seed", dict(type=int, default=42)),
-        ("--tol", dict(type=float, default=1e-9)),
+        ("--tol", dict(type=float, default=DEFAULT_TOL)),
         ("--workers", dict(type=int, default=1,
                            help="accepted for compatibility; the sweep runs in one thread")),
         help="sweep seeded Haar-random states and check every invariant",

@@ -53,8 +53,11 @@ DEFAULT_TOL = 1e-9
 DRAW = 512
 
 # Samples per stacked evaluation, per local dimension. A qubit chunk of 256
-# holds a whole 200-sample call; a qutrit chunk's working set grows about
-# five times as fast, so it stays at 64.
+# holds a whole 200-sample call. A qutrit chunk's working set grows about five
+# times as fast; past 64 rows it outgrows the heap glibc keeps, and the minor
+# page faults (``resource.getrusage(...).ru_minflt``) of a warm
+# ``_sweep_range(3, seed, 0, 200)``, almost always 0 at 64 rows but by heap
+# layout up to 218 at 67, 265 at 80 and 356 at 100, cost more than they save.
 CHUNK = {2: 256, 3: 64}
 
 
@@ -203,9 +206,9 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
     """
     n = local_dim
     s = _analyze_stack(psi, n)
-    failed = np.logical_or.reduce([mask for mask, _ in s.gates])
-    if failed.any():
-        _raise_first(s.gates, int(np.argmax(failed)))
+    passed = np.logical_and.reduce([mask for mask, _ in s.gates])
+    if not passed.all():
+        _raise_first(s.gates, int(np.argmin(passed)))
 
     back = _expand(s.u, s.v, s.beta, basis_for(n))
     # np.abs of the complex difference, as ``reconstruct(...) - rho`` is taken

@@ -36,35 +36,14 @@ def example_fixtures() -> tuple[ExampleFixture, ...]:
     )
     qutrit = np.zeros(9, dtype=complex)
     qutrit[[0, 4, 8]] = s3
-    return (
-        ExampleFixture(
-            "three-term superposition",
-            state_from_amplitudes([s3, s3, 0.0, s3], 2, 2),
-            2.0 / 3.0,
-        ),
-        ExampleFixture(
-            "weighted superposition",
-            state_from_amplitudes([1 / 3, 2 / 3, 0.0, 2 / 3], 2, 2),
-            4.0 / 9.0,
-        ),
-        ExampleFixture(
-            "Bell pair",
-            state_from_amplitudes([np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)], 2, 2),
-            1.0,
-        ),
-        ExampleFixture(
-            "product, axis aligned",
-            state_from_amplitudes([0.5, 0.5, 0.5, 0.5], 2, 2),
-            0.0,
-        ),
-        ExampleFixture(
-            "product, oblique",
-            state_from_amplitudes(oblique, 2, 2),
-            0.0,
-        ),
-        ExampleFixture(
-            "qutrit maximal superposition",
-            state_from_amplitudes(qutrit, 3, 3),
-            1.0,
-        ),
+    return tuple(
+        ExampleFixture(name, state_from_amplitudes(amps, n, n), expected_pe)
+        for name, n, amps, expected_pe in (
+            ("three-term superposition", 2, [s3, s3, 0.0, s3], 2.0 / 3.0),
+            ("weighted superposition", 2, [1 / 3, 2 / 3, 0.0, 2 / 3], 4.0 / 9.0),
+            ("Bell pair", 2, [np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)], 1.0),
+            ("product, axis aligned", 2, [0.5, 0.5, 0.5, 0.5], 0.0),
+            ("product, oblique", 2, oblique, 0.0),
+            ("qutrit maximal superposition", 3, qutrit, 1.0),
+        )
     )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bloch import _gate, _raise_first
+
 MAX_DIM = 9
 
 HERMITICITY_TOL = 1e-10
@@ -63,6 +65,11 @@ def det_real(m) -> float:
     return float(np.linalg.det(a.astype(float, copy=False)))
 
 
+def _hermiticity_gate(asym: np.ndarray):
+    return _gate(asym <= HERMITICITY_TOL, ValueError,
+                 "matrix is not Hermitian: max |h - h^dagger| = {:.3e}", asym)
+
+
 def herm_eigvals(h) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, real and ascending.
 
@@ -70,7 +77,5 @@ def herm_eigvals(h) -> np.ndarray:
     otherwise a ValueError reports the largest asymmetry found.
     """
     a = _as_square(h, "h")
-    asym = float(np.abs(a - a.conj().T).max())
-    if not asym <= HERMITICITY_TOL:  # NaN fails too
-        raise ValueError(f"matrix is not Hermitian: max |h - h^dagger| = {asym:.3e}")
+    _raise_first([_hermiticity_gate(np.array([np.abs(a - a.conj().T).max()]))], 0)
     return np.linalg.eigvalsh(a)

@@ -22,10 +22,11 @@ as not independently cross-checked.
 ``analyze`` is row 0 of a stack of one in ``_analyze_stack``, the kernel the
 verify sweep runs over its chunks of Haar samples, so every report field,
 oracle, identity and gate is written once. The Bloch-form gates belong to
-``bloch._decompose_stack``, which the kernel calls after its purity and
-finite gates. The public single-state helpers (``alpha_matrix``,
+``bloch._decompose_stack``, which the kernel calls after its finite and
+purity gates. The public single-state helpers (``alpha_matrix``,
 ``degree_det``, ``schmidt_coeffs``, ``concurrence_pure``,
-``purity_constraints_report``) are separate routes the tests hold it to.
+``purity_constraints_report``) are separate routes the tests hold it to;
+``degree_det`` and ``schmidt_coeffs`` raise through the kernel's gate builders.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ import numpy as np
 
 from .bloch import BlochForm, _decompose_stack, _gate, _not_finite, _raise_first
 from .generators import basis_for
-from .linalg import HERMITICITY_TOL, det_real, herm_eigvals
-from .states import PURITY_GATE_TOL, StateVector, density_from_state, partial_trace
+from .linalg import _hermiticity_gate, det_real, herm_eigvals
+from .states import StateVector, density_from_state, partial_trace
+
+PURITY_GATE_TOL = 1e-10
 
 # -det(alpha) may land this far below zero from floating noise alone
 # (product states have exact determinant 0); anything worse means the
@@ -105,6 +108,16 @@ def alpha_matrix(bf: BlochForm) -> np.ndarray:
     return a
 
 
+def _det_sign_gate(d: np.ndarray):
+    return _gate(d >= -DET_CLAMP_WINDOW, PurityViolation,
+                 "determinant sign inconsistent with purity: -det(alpha) = {:.3e}", d)
+
+
+def _schmidt_sum_gate(k_sum: np.ndarray):
+    return _gate(np.abs(k_sum - 1.0) <= SCHMIDT_SUM_TOL, ArithmeticError,
+                 "reduced eigenvalues sum to {}, expected 1", k_sum)
+
+
 def degree_det(alpha) -> float:
     """P_E = (-det alpha)^(1/4), clamping floating noise just below zero.
 
@@ -113,13 +126,8 @@ def degree_det(alpha) -> float:
     raises PurityViolation rather than returning a complex or NaN value.
     """
     d = -det_real(alpha)
-    if not d >= -DET_CLAMP_WINDOW:  # NaN fails too
-        raise PurityViolation(
-            f"determinant sign inconsistent with purity: -det(alpha) = {d:.3e}"
-        )
-    if d < 0.0:
-        d = 0.0
-    return d ** 0.25
+    _raise_first([_det_sign_gate(np.array([d]))], 0)
+    return max(d, 0.0) ** 0.25
 
 
 def schmidt_coeffs(psi: StateVector) -> tuple[float, float]:
@@ -133,10 +141,7 @@ def schmidt_coeffs(psi: StateVector) -> tuple[float, float]:
     lo, hi = herm_eigvals(rho_a)
     k1 = float(np.sqrt(max(hi, 0.0)))
     k2 = float(np.sqrt(max(lo, 0.0)))
-    if not abs(k1 * k1 + k2 * k2 - 1.0) <= SCHMIDT_SUM_TOL:  # NaN fails too
-        raise ArithmeticError(
-            f"reduced eigenvalues sum to {k1 * k1 + k2 * k2}, expected 1"
-        )
+    _raise_first([_schmidt_sum_gate(np.array([k1 * k1 + k2 * k2]))], 0)
     return k1, k2
 
 
@@ -219,8 +224,8 @@ def _clamp_low(x: np.ndarray) -> np.ndarray:
 
 # What ``_analyze_stack`` computes, one row per state. ``kappa`` (the rows k1
 # and k2), ``p_e_schmidt``, ``concurrence`` and ``residuals`` are None at dim 3;
-# ``gates`` lists analyze's gates in its order, each as the mask of failing
-# rows and the exception of a failing row.
+# ``gates`` lists analyze's gates in its order, each as the mask of the rows
+# that pass it and the exception of a row that does not.
 _Stack = namedtuple(
     "_Stack",
     "rho u v beta purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence residuals gates",
@@ -237,15 +242,17 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     count = len(psi)
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     pur = np.einsum("nij,nji->n", rho, rho).real
-    # pur is NaN or inf where rho holds NaN or inf, or overflowed (a purity failure)
-    finite = np.isfinite(pur)
-    gates = [
-        _gate(np.abs(pur - 1.0) > PURITY_GATE_TOL, PurityViolation,
-              "purity gate failed: tr(rho^2) = {}", pur),
-        (~finite, lambda i, rho=rho: _not_finite(rho[i])),
-    ]
+    # pur is finite unless an entry of rho is not, or its squares overflow;
+    # only then are the entries read, and the row zeroed for what follows
+    given, finite = rho, np.isfinite(pur)
     if not finite.all():
-        rho = np.where(finite[:, None, None], rho, 0.0)  # keeps NaN out of what follows
+        rho = np.where(finite[:, None, None], rho, 0.0)
+        finite = np.isfinite(given).all(axis=(1, 2))
+    gates = [
+        (finite, lambda i: _not_finite(given[i])),
+        _gate(np.abs(pur - 1.0) <= PURITY_GATE_TOL, PurityViolation,
+              "purity gate failed: tr(rho^2) = {}", pur),
+    ]
 
     bloch = _decompose_stack(rho, basis_for(n))
     gates += bloch.gates
@@ -258,8 +265,7 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     alpha[:, 1:, 0] = u
     alpha[:, 1:, 1:] = beta
     d_raw = -np.linalg.det(alpha)
-    gates.append(_gate(d_raw < -DET_CLAMP_WINDOW, PurityViolation,
-                       "determinant sign inconsistent with purity: -det(alpha) = {:.3e}", d_raw))
+    gates.append(_det_sign_gate(d_raw))
     # np.float_power calls libm pow, as Python's float ** does (np.power
     # rounds differently); pow(-0.0, 0.25) is +0.0 as well
     p_e = np.float_power(_clamp_low(d_raw), 0.25)
@@ -268,14 +274,11 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
         # schmidt_coeffs: the eigenvalues of the reduced density matrix
         rho_a = np.einsum("nijkj->nik", rho.reshape(count, 2, 2, 2, 2))
         asym = np.abs(rho_a - rho_a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        gates.append(_gate(asym > HERMITICITY_TOL, ValueError,
-                           "matrix is not Hermitian: max |h - h^dagger| = {:.3e}", asym))
+        gates.append(_hermiticity_gate(asym))
         eig = np.linalg.eigvalsh(rho_a)
         k2, k1 = np.sqrt(np.where(0.0 > eig, 0.0, eig)).T
-        k_sum = k1 * k1 + k2 * k2
         # degree_schmidt re-checks the same sum at a looser tolerance
-        gates.append(_gate(np.abs(k_sum - 1.0) > SCHMIDT_SUM_TOL, ArithmeticError,
-                           "reduced eigenvalues sum to {}, expected 1", k_sum))
+        gates.append(_schmidt_sum_gate(k1 * k1 + k2 * k2))
         kappa, p_e_schmidt = (k1, k2), 2.0 * k1 * k2
 
         # concurrence 2 |ad - bc| in Python's complex arithmetic, which rounds
@@ -294,11 +297,11 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
             "det_beta_identity": np.abs(-np.linalg.det(beta) - (1.0 - un2)),
         }
 
-        # a NaN on either side makes the first test false: np.maximum can stand in for max
+        # a NaN on either side fails both tests: np.maximum keeps it
         from_u = np.sqrt(_clamp_low(1.0 - u_norm * u_norm))
         gates.append(_gate(
-            (np.abs(p_e - from_u) > ORACLE_CONSISTENCY_TOL)
-            & (np.maximum(p_e, from_u) > NEAR_PRODUCT_FLOOR),
+            (np.abs(p_e - from_u) <= ORACLE_CONSISTENCY_TOL)
+            | (np.maximum(p_e, from_u) <= NEAR_PRODUCT_FLOOR),
             PurityViolation, "determinant route gives {}, sqrt(1 - |u|^2) gives {}", p_e, from_u,
         ))
     return _Stack(

@@ -22,8 +22,6 @@ DENSITY_HERM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_EIGVAL_FLOOR = -1e-10
 
-PURITY_GATE_TOL = 1e-10
-
 # norms whose squares are normal doubles with room to spare; every input of
 # unit scale stays on the plain path
 NORM_RANGE = (2.0 ** -400, 2.0 ** 400)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entdeg import cli
+from entdeg import cli, ensemble
 from entdeg.ensemble import SweepReport, property_sweep, state_for_index
 from entdeg.fixtures import example_fixtures
 from entdeg.measure import PurityViolation, analyze
@@ -64,11 +64,12 @@ def test_analyze_json_roundtrip_byte_identical(three_term_file, capsys):
 
 
 def reference_json(obj) -> str:
-    """The bytes emit_json stands for: json.dumps over the round15-ed values."""
+    """The bytes emit_json stands for: json.dumps over the round15-ed values,
+    with NaN and +-inf as null, which strict JSON has in place of their numbers."""
 
     def jsonable(x):
         if isinstance(x, float):
-            return cli.round15(x)
+            return cli.round15(x) if math.isfinite(x) else None
         if isinstance(x, dict):
             return {key: jsonable(val) for key, val in x.items()}
         if isinstance(x, (list, tuple)):
@@ -120,13 +121,21 @@ def _synthetic_reports():
     yield {"nested": [[], {}, [1, [2.5, None]], {"b": True, "a": False}], "empty": ""}
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_emit_json_writes_non_finite_floats_as_null():
+    assert [cli.emit_json(x) for x in (math.nan, math.inf, -math.inf)] == ["null"] * 3
+
+
 def test_emit_json_matches_json_dumps_reference():
     count = 0
     for obj in [*_emitted_reports(), *_synthetic_reports()]:
         text = cli.emit_json(obj)
         assert text == reference_json(obj)
-        # parsed back, the dict emits the same bytes
-        assert cli.emit_json(json.loads(text)) == text
+        # parsed back strictly, the dict emits the same bytes
+        assert cli.emit_json(json.loads(text, parse_constant=_reject_constant)) == text
         count += 1
     assert count == 6 + 2 * (120 + 3) + 1 + len(EDGE_FLOATS) + 3
 
@@ -333,6 +342,23 @@ def test_verify_rejects_a_tol_not_finite_or_below_0(capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"tol must be finite and at least 0, got {float(tol)}" in captured.err
+
+
+def test_failing_verify_prints_strict_json(monkeypatch, capsys):
+    real_stack = ensemble._analyze_stack
+
+    def poisoned(psi, n):
+        s = real_stack(psi, n)
+        s.alpha_det[5] = math.nan
+        s.p_e[5] = math.nan
+        return s
+
+    monkeypatch.setattr(ensemble, "_analyze_stack", poisoned)
+    assert cli.main(["verify", "--dim", "3", "--samples", "20"]) == 1
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert data["passed"] is False
+    assert data["p_e_min"] is None and data["p_e_max"] is None
+    assert data["worst_residuals"]["alpha_det_negativity"] is None
 
 
 def test_verify_accepts_the_largest_seed(capsys):

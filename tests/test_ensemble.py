@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entdeg import bloch, cli, ensemble, measure
+from entdeg import bloch, cli, ensemble, linalg, measure
 from entdeg.bloch import decompose, reconstruct
 from entdeg.ensemble import (
     CHUNK,
@@ -353,6 +353,8 @@ V_BOUND = (
 
 def owner(gate):
     """The module that reads the gate's constant."""
+    if gate == "HERMITICITY_TOL":
+        return linalg
     return bloch if gate in ("IMAG_RESIDUE_TOL", "LOCAL_NORM_SLACK") else measure
 
 
@@ -477,3 +479,18 @@ def test_sweep_argument_validation():
             property_sweep(10, 2, seed=1, tol=tol)
     assert property_sweep(1, 2, seed=1, tol=0.0).tol == 0.0
 
+
+
+def test_finite_state_whose_purity_overflows_raises_the_purity_gate():
+    # rho's entries are finite, tr(rho^2) overflows: the finite gate passes it
+    amps = np.full(9, 1e80, dtype=complex)
+    with pytest.raises(PurityViolation, match=r"^purity gate failed: tr\(rho\^2\) = inf$"):
+        analyze(StateVector(3, 3, amps))
+
+
+def test_state_whose_rho_overflows_raises_naming_the_entry():
+    amps = np.full(4, 1e200, dtype=complex)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"^rho\[0, 0\] = \(inf\+0j\) is not finite$"
+    ):
+        analyze(StateVector(2, 2, amps))
