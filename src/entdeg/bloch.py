@@ -37,8 +37,9 @@ and the dense sums of the expansion, under these rules:
 
 The Bloch-form gates are written once, in ``_decompose_stack``: ``decompose``
 is row 0 of a stack of one, and ``measure._analyze_stack`` appends the same
-gates to its own. Each gate's mask is the comparison a row must pass, so NaN
-fails it; ``_raise_first`` is where any gate becomes an exception.
+gates to its own; ``hyperbolic.degree_hyperbolic`` raises through the same
+|u| gate, ``_norm_gates``. Each gate's mask is the comparison a row must pass,
+so NaN fails it; ``_raise_first`` is where any gate becomes an exception.
 """
 
 from __future__ import annotations
@@ -320,6 +321,14 @@ def _residue_gate(residue: np.ndarray):
                  residue)
 
 
+def _norm_gates(norms: np.ndarray, names: str) -> list:
+    """The qubit Bloch-vector bound: norms[k] (N,) of names[k] <= 1 + ``LOCAL_NORM_SLACK``."""
+    within = norms <= 1.0 + LOCAL_NORM_SLACK
+    return [_gate(within[k], ValueError,
+                  f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norms[k])
+            for k, name in enumerate(names)]
+
+
 # What ``_decompose_stack`` computes, one row per state; ``sq`` and ``norms``
 # hold the squared norms and norms of u (row 0) and of v (row 1)
 _BlochStack = namedtuple("_BlochStack", "u v beta sq norms gates")
@@ -341,10 +350,7 @@ def _decompose_stack(rho: np.ndarray, basis: GeneratorSet) -> _BlochStack:
     norms = np.sqrt(sq)
     gates = [_residue_gate(residue)]
     if n == 2:
-        within = norms <= 1.0 + LOCAL_NORM_SLACK
-        gates += [_gate(within[k], ValueError,
-                        f"|{name}| = {{}} exceeds 1, rho is not a qubit state", norms[k])
-                  for k, name in enumerate("uv")]
+        gates += _norm_gates(norms, "uv")
     return _BlochStack(u, v, beta, sq, norms, gates)
 
 

@@ -226,14 +226,11 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
     # degree_hyperbolic; its |u| bound is analyze's |u| gate on the same norm
     near = u_norm > 1.0 - _ARTANH_SAFE_MARGIN
     inside = np.where(u_norm < 1.0, u_norm, 1.0)
+    # at |u| >= 1, near holds and inside is 1.0: the algebraic branch gives +0.0
     hyperbolic = np.where(
-        u_norm >= 1.0,
-        0.0,
-        np.where(
-            near,
-            np.sqrt((1.0 - inside) * (1.0 + inside)),
-            1.0 / np.cosh(np.arctanh(np.where(near, 0.0, u_norm))),
-        ),
+        near,
+        np.sqrt((1.0 - inside) * (1.0 + inside)),
+        1.0 / np.cosh(np.arctanh(np.where(near, 0.0, u_norm))),
     )
     residuals.update(s.residuals)
     residuals["oracle_det_vs_schmidt"] = np.abs(p_e - s.p_e_schmidt)

@@ -93,13 +93,12 @@ def degree_hyperbolic(u) -> float:
     """Entanglement degree from the Bloch vector alone: 1/cosh(artanh |u|).
 
     Equals sqrt(1 - |u|^2); the algebraic form takes over close to and at
-    |u| = 1, where artanh is unusable. |u| beyond decompose's bound
-    1 + ``bloch.LOCAL_NORM_SLACK``, or NaN, is rejected as not a Bloch vector.
+    |u| = 1, where artanh is unusable. |u| is checked by decompose's own |u|
+    gate, ``bloch._norm_gates``: beyond 1 + ``bloch.LOCAL_NORM_SLACK``, or
+    NaN, it raises the ValueError decompose raises.
     """
-    vec = np.asarray(u, dtype=float)
-    n = float(np.linalg.norm(vec))
-    if not n <= 1.0 + bloch.LOCAL_NORM_SLACK:  # NaN fails too
-        raise ValueError(f"|u| = {n} exceeds 1 or is NaN, not a valid Bloch vector")
+    n = float(np.linalg.norm(np.asarray(u, dtype=float)))
+    bloch._raise_first(bloch._norm_gates(np.array([[n]]), "u"), 0)
     if n >= 1.0:
         return 0.0
     if n > 1.0 - _ARTANH_SAFE_MARGIN:

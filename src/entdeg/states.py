@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_eigvals
+from .linalg import _square
 
 NORM_WARN_TOL = 1e-6
 
@@ -110,24 +110,22 @@ def density_from_state(psi: StateVector) -> np.ndarray:
     return np.outer(psi.amplitudes, psi.amplitudes.conj())
 
 
-def validate_density(rho, name: str = "rho") -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check the density-matrix invariants, returning the array on success.
 
     Hermitian within 1e-12 entrywise, unit trace within 1e-12, eigenvalues
     above -1e-10. Raises ValueError naming the violated condition.
     """
-    a = np.asarray(rho, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    a = _square(np.asarray(rho, dtype=complex), "rho")
     asym = float(np.abs(a - a.conj().T).max())
     if not asym <= DENSITY_HERM_TOL:  # NaN fails too
-        raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
+        raise ValueError(f"rho is not Hermitian: max asymmetry {asym:.3e}")
     tr = complex(np.trace(a))
     if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
-    low = float(herm_eigvals(a)[0])
+        raise ValueError(f"rho has trace {tr}, expected 1")
+    low = float(np.linalg.eigvalsh(a)[0])
     if not low >= DENSITY_EIGVAL_FLOOR:
-        raise ValueError(f"{name} is not positive semidefinite: lowest eigenvalue {low:.3e}")
+        raise ValueError(f"rho is not positive semidefinite: lowest eigenvalue {low:.3e}")
     return a
 
 

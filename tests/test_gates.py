@@ -23,6 +23,7 @@ GATE_MESSAGES = [
     "matrix is not Hermitian",
     "reduced eigenvalues sum to",
     "determinant route gives",
+    "must be a square matrix",
 ]
 
 
@@ -30,6 +31,12 @@ GATE_MESSAGES = [
 def test_each_gate_message_is_written_once(message):
     text = "".join(path.read_text(encoding="utf-8") for path in SOURCES)
     assert text.count(message) == 1
+
+
+@pytest.mark.parametrize("gone", ["dimension overflow", "MAX_DIM", "not a valid Bloch vector"])
+def test_removed_check_is_not_spelled(gone):
+    text = "".join(path.read_text(encoding="utf-8") for path in SOURCES)
+    assert gone not in text
 
 
 BELL = state_from_amplitudes([np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)], 2, 2)

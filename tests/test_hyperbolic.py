@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from entdeg import bloch
+from entdeg.bloch import BlochForm, decompose, reconstruct
+from entdeg.generators import basis_for
 from entdeg.hyperbolic import (
     RapidityParam,
     boost_density_residual,
@@ -112,6 +114,43 @@ def test_degree_reads_the_bloch_norm_bound(monkeypatch):
     monkeypatch.setattr(bloch, "LOCAL_NORM_SLACK", -0.5)
     with pytest.raises(ValueError, match="exceeds 1"):
         degree_hyperbolic(THREE_TERM_U)
+
+
+NORM_BOUND = 1.0 + bloch.LOCAL_NORM_SLACK
+
+
+@pytest.mark.parametrize(
+    "norm, accepted",
+    [
+        (np.nextafter(NORM_BOUND, 0.0), True),
+        (NORM_BOUND, True),
+        (np.nextafter(NORM_BOUND, 2.0), False),
+        (np.nextafter(np.nextafter(NORM_BOUND, 2.0), 2.0), False),
+        (np.nan, False),
+    ],
+    ids=["one-ulp-inside", "at-bound", "one-ulp-outside", "two-ulps-outside", "nan"],
+)
+def test_degree_and_decompose_share_one_norm_bound(norm, accepted):
+    # along x, np.linalg.norm(u) is norm itself and the projection reads it back
+    u = np.array([norm, 0.0, 0.0])
+    np.testing.assert_equal(np.linalg.norm(u), norm)
+    basis = basis_for(2)
+    rho = reconstruct(BlochForm(2, u, np.zeros(3), np.zeros((3, 3))), basis)
+    s = bloch._decompose_stack(rho[None], basis)
+    np.testing.assert_equal(s.norms[0, 0], norm)
+    passed, error = s.gates[1]  # decompose's |u| gate
+    assert bool(passed[0]) is accepted
+    if accepted:
+        assert degree_hyperbolic(u) == 0.0
+        decompose(rho, basis)
+        return
+    with pytest.raises(ValueError) as caught:
+        degree_hyperbolic(u)
+    assert str(caught.value) == str(error(0))
+    if not np.isnan(norm):  # decompose raises its finite gate on NaN first
+        with pytest.raises(ValueError) as from_decompose:
+            decompose(rho, basis)
+        assert str(from_decompose.value) == str(caught.value)
 
 
 def test_reciprocal_cosh_equals_algebraic_form():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entdeg.linalg import det_real, herm_eigvals, kron
+from entdeg.states import validate_density
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -23,13 +24,6 @@ def test_kron_flip_antidiagonal():
     expected = np.zeros((4, 4))
     expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1
     assert_allclose(kron(S1, S1), expected)
-
-
-def test_kron_overflow_rejected():
-    with pytest.raises(ValueError, match="dimension overflow"):
-        kron(np.eye(4), np.eye(4))
-    with pytest.raises(ValueError, match="dimension overflow"):
-        kron(np.eye(10), np.eye(1))
 
 
 def test_det_identity():
@@ -82,6 +76,13 @@ def test_eigvals_reports_asymmetry():
 def test_eigvals_rejects_nan():
     with pytest.raises(ValueError, match=r"not Hermitian: max \|h - h\^dagger\| = nan"):
         herm_eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("check", [det_real, herm_eigvals, validate_density])
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2)], ids=["1-d", "2x3", "2x2x2"])
+def test_non_square_input_rejected_by_one_check(check, shape):
+    with pytest.raises(ValueError, match="must be a square matrix"):
+        check(np.ones(shape))
 
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)

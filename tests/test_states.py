@@ -167,10 +167,15 @@ def test_validate_density_rejects_bad_inputs():
         validate_density(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_validate_density_has_no_size_cap():
+    rho = np.eye(16) / 16
+    assert_allclose(validate_density(rho), rho)
+
+
 def test_validate_density_rejects_nan(monkeypatch):
     with pytest.raises(ValueError, match="rho is not Hermitian: max asymmetry nan"):
         validate_density(np.full((2, 2), np.nan))
     # the eigenvalue floor, reached only by a NaN spectrum of a finite matrix
-    monkeypatch.setattr("entdeg.states.herm_eigvals", lambda h: np.array([np.nan, np.nan]))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.array([np.nan, np.nan]))
     with pytest.raises(ValueError, match="lowest eigenvalue nan"):
         validate_density(np.eye(2) / 2)
