@@ -15,10 +15,10 @@ The sweep evaluates each draw ``CHUNK[local_dim]`` samples at a time. A
 chunk's amplitudes go through ``measure._analyze_stack``, the stacked kernel
 of which ``analyze`` is row 0 of a stack of one, so every report field,
 oracle, identity and gate is the single-state one bit for bit, and a failing
-sample raises from the chunk's own stack. The sweep adds only what
-``analyze`` does not do: the round trip through the expansion
-(``bloch._expand``, the kernel of ``reconstruct``), the hyperbolic route,
-the comparison with sqrt(1 - |u|^2) and the reductions over the chunk.
+sample raises from the chunk's own stack. The sweep reads the kernel's gap
+|P_E - sqrt(1 - |u|^2)| as it is, and adds only what ``analyze`` does not
+do: the round trip through the expansion (``bloch._expand``, the kernel of
+``reconstruct``), the hyperbolic route and the reductions over the chunks.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ DRAW = 512
 # holds a whole 200-sample call. A qutrit chunk's working set grows about five
 # times as fast; past 64 rows it outgrows the heap glibc keeps, and the minor
 # page faults (``resource.getrusage(...).ru_minflt``) of a warm
-# ``_sweep_range(3, seed, 0, 200)``, almost always 0 at 64 rows but by heap
+# ``property_sweep(200, 3, seed)``, almost always 0 at 64 rows but by heap
 # layout up to 218 at 67, 265 at 80 and 356 at 100, cost more than they save.
 CHUNK = {2: 256, 3: 64}
 
@@ -221,8 +221,6 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
         return residuals, s.p_e
 
     p_e, u_norm = s.p_e, s.u_norm
-    # the sweep's comparison squares with libm pow, as Python's x ** 2 does
-    from_u = np.sqrt(_clamp_low(1.0 - np.float_power(u_norm, 2.0)))
     # degree_hyperbolic; its |u| bound is analyze's |u| gate on the same norm
     near = u_norm > 1.0 - _ARTANH_SAFE_MARGIN
     inside = np.where(u_norm < 1.0, u_norm, 1.0)
@@ -235,7 +233,7 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
     residuals.update(s.residuals)
     residuals["oracle_det_vs_schmidt"] = np.abs(p_e - s.p_e_schmidt)
     residuals["oracle_det_vs_concurrence"] = np.abs(p_e - s.concurrence)
-    residuals["det_vs_u_norm"] = np.abs(p_e - from_u)
+    residuals["det_vs_u_norm"] = s.u_gap
     residuals["det_vs_hyperbolic"] = np.abs(p_e - hyperbolic)
     return residuals, p_e
 
@@ -253,23 +251,6 @@ def _chunks(local_dim: int, seed: int, lo: int, hi: int):
             yield start + at, psi[at : at + chunk]
 
 
-def _sweep_range(local_dim: int, seed: int, lo: int, hi: int):
-    """Worst residuals and the P_E range over samples lo..hi-1.
-
-    NaN propagates through every maximum and minimum, so a NaN sample makes
-    the report fail instead of vanishing from it.
-    """
-    worst: dict[str, float] = {}
-    p_min, p_max = np.inf, -np.inf
-    for _, psi in _chunks(local_dim, seed, lo, hi):
-        residuals, p_e = _chunk_values(local_dim, psi)
-        for key, vals in residuals.items():
-            worst[key] = float(np.maximum(worst.get(key, 0.0), vals.max()))
-        p_min = float(np.minimum(p_min, p_e.min()))
-        p_max = float(np.maximum(p_max, p_e.max()))
-    return worst, p_min, p_max
-
-
 def property_sweep(
     samples: int,
     local_dim: int,
@@ -284,21 +265,33 @@ def property_sweep(
     round trip and the determinant sign are meaningful, and the degree is
     evaluated as defined without an independent oracle.
 
-    The report is a pure function of (samples, local_dim, seed, tol). The
-    sweep runs in the calling thread: its many small numpy calls hold the
-    interpreter lock, so more threads would not make it faster.
+    The report is a pure function of (samples, local_dim, seed, tol). NaN
+    propagates through every maximum and minimum, so a NaN sample makes the
+    report fail instead of vanishing from it. The sweep runs in the calling
+    thread: its many small numpy calls hold the interpreter lock, so more
+    threads would not make it faster.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if local_dim not in (2, 3):
         raise ValueError(f"local dimension must be 2 or 3, got {local_dim}")
+    # int() and Philox would both truncate a fractional seed; bool is an int
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     # NaN would print as invalid JSON, inf would pass every finite residual
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")
 
-    worst, p_min, p_max = _sweep_range(local_dim, seed, 0, samples)
+    worst: dict[str, float] = {}
+    p_min, p_max = np.inf, -np.inf
+    for _, psi in _chunks(local_dim, seed, 0, samples):
+        residuals, p_e = _chunk_values(local_dim, psi)
+        for key, vals in residuals.items():
+            worst[key] = float(np.maximum(worst.get(key, 0.0), vals.max()))
+        p_min = float(np.minimum(p_min, p_e.min()))
+        p_max = float(np.maximum(p_max, p_e.max()))
     return SweepReport(
         samples=samples,
         local_dim=local_dim,

@@ -47,6 +47,14 @@ class RapidityParam:
         return 2.0 * self.half_rapidity
 
 
+def _vector3(u) -> np.ndarray:
+    """``u`` as a float array, which must have shape (3,)."""
+    vec = np.asarray(u, dtype=float)
+    if vec.shape != (3,):
+        raise ValueError(f"expected a real 3-vector, got shape {vec.shape}")
+    return vec
+
+
 def rapidity_of(u) -> RapidityParam:
     """Split a qubit Bloch vector into direction and half rapidity.
 
@@ -54,9 +62,7 @@ def rapidity_of(u) -> RapidityParam:
     the rapidity diverges (product states sit exactly on the boundary).
     A NaN |u| raises as well.
     """
-    vec = np.asarray(u, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError(f"expected a real 3-vector, got shape {vec.shape}")
+    vec = _vector3(u)
     n = float(np.linalg.norm(vec))
     if not n <= 1.0 - LIGHT_CONE_MARGIN:  # NaN fails too
         raise ValueError(f"boost degenerate at the light-cone or undefined: |u| = {n}")
@@ -81,9 +87,9 @@ def lorentz_boost(r: RapidityParam) -> np.ndarray:
 
 def boost_density_residual(u) -> float:
     """Max entrywise gap between (1 + u.s)/2 and L(u)/(2 cosh phi)."""
-    r = rapidity_of(u)
+    vec = _vector3(u)
+    r = rapidity_of(vec)
     sigma = basis_for(2).generators
-    vec = np.asarray(u, dtype=float)
     direct = 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(vec, sigma)))
     boosted = lorentz_boost(r) / (2.0 * np.cosh(r.half_rapidity))
     return float(np.abs(direct - boosted).max())
@@ -93,11 +99,12 @@ def degree_hyperbolic(u) -> float:
     """Entanglement degree from the Bloch vector alone: 1/cosh(artanh |u|).
 
     Equals sqrt(1 - |u|^2); the algebraic form takes over close to and at
-    |u| = 1, where artanh is unusable. |u| is checked by decompose's own |u|
-    gate, ``bloch._norm_gates``: beyond 1 + ``bloch.LOCAL_NORM_SLACK``, or
-    NaN, it raises the ValueError decompose raises.
+    |u| = 1, where artanh is unusable. ``u`` must be a real 3-vector, and
+    |u| is checked by decompose's own |u| gate, ``bloch._norm_gates``: beyond
+    1 + ``bloch.LOCAL_NORM_SLACK``, or NaN, it raises the ValueError
+    decompose raises.
     """
-    n = float(np.linalg.norm(np.asarray(u, dtype=float)))
+    n = float(np.linalg.norm(_vector3(u)))
     bloch._raise_first(bloch._norm_gates(np.array([[n]]), "u"), 0)
     if n >= 1.0:
         return 0.0

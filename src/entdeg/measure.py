@@ -223,12 +223,14 @@ def _clamp_low(x: np.ndarray) -> np.ndarray:
 
 
 # What ``_analyze_stack`` computes, one row per state. ``kappa`` (the rows k1
-# and k2), ``p_e_schmidt``, ``concurrence`` and ``residuals`` are None at dim 3;
-# ``gates`` lists analyze's gates in its order, each as the mask of the rows
-# that pass it and the exception of a row that does not.
+# and k2), ``p_e_schmidt``, ``concurrence``, ``residuals`` and ``u_gap``, the
+# gap |P_E - sqrt(1 - |u|^2)|, are None at dim 3; ``gates`` lists analyze's
+# gates in its order, each as the mask of the rows that pass it and the
+# exception of a row that does not.
 _Stack = namedtuple(
     "_Stack",
-    "rho u v beta purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence residuals gates",
+    "rho u v beta purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence residuals"
+    " u_gap gates",
 )
 
 
@@ -269,7 +271,7 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     # np.float_power calls libm pow, as Python's float ** does (np.power
     # rounds differently); pow(-0.0, 0.25) is +0.0 as well
     p_e = np.float_power(_clamp_low(d_raw), 0.25)
-    kappa = p_e_schmidt = conc = residuals = None
+    kappa = p_e_schmidt = conc = residuals = u_gap = None
     if n == 2:
         # schmidt_coeffs: the eigenvalues of the reduced density matrix
         rho_a = np.einsum("nijkj->nik", rho.reshape(count, 2, 2, 2, 2))
@@ -297,15 +299,18 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
             "det_beta_identity": np.abs(-np.linalg.det(beta) - (1.0 - un2)),
         }
 
-        # a NaN on either side fails both tests: np.maximum keeps it
-        from_u = np.sqrt(_clamp_low(1.0 - u_norm * u_norm))
+        # the sweep reports u_gap as det_vs_u_norm, so |u| is squared with libm
+        # pow, as the scalar route's u_norm ** 2 is; a multiply rounds
+        # differently. A NaN on either side fails both tests: np.maximum keeps it
+        from_u = np.sqrt(_clamp_low(1.0 - np.float_power(u_norm, 2.0)))
+        u_gap = np.abs(p_e - from_u)
         gates.append(_gate(
-            (np.abs(p_e - from_u) <= ORACLE_CONSISTENCY_TOL)
-            | (np.maximum(p_e, from_u) <= NEAR_PRODUCT_FLOOR),
+            (u_gap <= ORACLE_CONSISTENCY_TOL) | (np.maximum(p_e, from_u) <= NEAR_PRODUCT_FLOOR),
             PurityViolation, "determinant route gives {}, sqrt(1 - |u|^2) gives {}", p_e, from_u,
         ))
     return _Stack(
-        rho, u, v, beta, pur, u_norm, v_norm, d_raw, p_e, kappa, p_e_schmidt, conc, residuals, gates
+        rho, u, v, beta, pur, u_norm, v_norm, d_raw, p_e, kappa, p_e_schmidt, conc, residuals,
+        u_gap, gates,
     )
 
 

@@ -75,9 +75,11 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
     ------
     ValueError
         On a zero input vector, a non-finite amplitude, a length mismatch, or
-        an unsupported dimension.
+        an unsupported or non-integer dimension.
     """
-    if dim_a not in (2, 3) or dim_b not in (2, 3):
+    # 2.0 == 2, but a float dimension breaks every shape computed from it
+    integral = isinstance(dim_a, (int, np.integer)) and isinstance(dim_b, (int, np.integer))
+    if not integral or dim_a not in (2, 3) or dim_b not in (2, 3):
         raise ValueError(f"unsupported local dimensions ({dim_a}, {dim_b})")
     a = np.asarray(amps, dtype=complex).ravel()
     if a.size != dim_a * dim_b:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -118,6 +120,13 @@ def test_bloch_of_reduced_rejects_nan():
     for n in (2, 3):
         with pytest.raises(ValueError, match="imaginary residue nan"):
             bloch_of_reduced(np.full((n, n), np.nan), basis_for(n))
+
+
+@pytest.mark.parametrize("n, shape", [(2, (3, 3)), (3, (2, 2)), (2, (4,)), (2, (1, 2, 2))])
+def test_bloch_of_reduced_rejects_a_wrong_shape(n, shape):
+    expected = re.escape(f"rho_local has shape {shape}, expected {(n, n)}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        bloch_of_reduced(np.zeros(shape), basis_for(n))
 
 
 def _random_pure_rho(rng, n):

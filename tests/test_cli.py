@@ -193,6 +193,17 @@ def test_analyze_unparseable_file(tmp_path, capsys):
     assert cli.main(["analyze", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_syntax_error_position_is_the_same_for_every_newline(tmp_path, capsys, newline):
+    path = tmp_path / "broken.json"
+    lines = ['{"dims": [2, 2],', '"amplitudes": [[1, 0], x]}']
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2 column 24 (char 40)" in captured.err
+
+
 @pytest.mark.parametrize(
     "text",
     ["[" * 200000, '{"dims": [2, 2], "amplitudes": ' + "[" * 5000 + "]" * 5000 + "}"],
@@ -241,7 +252,7 @@ def test_analyze_bell_pair_at_extreme_scale(tmp_path, capsys, scale):
     assert data["normalization_warning"] is True
 
 
-@pytest.mark.parametrize("dims", [[2.7, 2], [2, 2.0], [True, 2], ["2", 2]])
+@pytest.mark.parametrize("dims", [[2.7, 2], [2, 2.0], [True, 2], ["2", 2], [2]])
 def test_analyze_rejects_non_integer_dims(tmp_path, capsys, dims):
     path = tmp_path / "dims.json"
     amps = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
@@ -249,7 +260,8 @@ def test_analyze_rejects_non_integer_dims(tmp_path, capsys, dims):
     assert cli.main(["analyze", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "'dims' must be two integers" in captured.err
+    pair = "two integers" if len(dims) == 2 else "a pair of local dimensions"
+    assert f"'dims' must be {pair}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -264,6 +276,8 @@ def test_analyze_rejects_non_integer_dims(tmp_path, capsys, dims):
         [[1, None], [0, 0], [0, 0], [1, 0]],
         [1, 0, 0, 1],
         {"10": 0, "00": 1, "01": 2, "11": 3},
+        # a 401-digit integer, which float() cannot hold
+        [[10**400, 0], [0, 0], [0, 0], [1, 0]],
     ],
 )
 def test_analyze_rejects_non_numeric_amplitudes(tmp_path, capsys, amplitudes):

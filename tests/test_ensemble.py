@@ -221,10 +221,15 @@ def test_chunk_values_equal_scalar_route_bit_for_bit(dim, seed):
     for key in keys:
         assert np.array_equal(kernel[key], [res[key] for _, res in expected]), key
 
-    # the sweep over the same range reports exactly the per-sample extremes
-    worst, p_min, p_max = ensemble._sweep_range(dim, seed, lo, hi)
-    assert worst == {key: max(res[key] for _, res in expected) for key in keys}
-    assert (p_min, p_max) == (min(expected_p_e), max(expected_p_e))
+    # with the chunks of [0, lo), parts covers [0, hi): the sweep over [0, hi)
+    # reports exactly the extremes of those chunk values
+    parts += [ensemble._chunk_values(dim, psi) for _, psi in ensemble._chunks(dim, seed, 0, lo)]
+    rep = property_sweep(hi, dim, seed)
+    assert rep.worst_residuals == {
+        key: max(float(part[0][key].max()) for part in parts) for key in keys
+    }
+    all_p_e = np.concatenate([part[1] for part in parts])
+    assert (rep.p_e_min, rep.p_e_max) == (all_p_e.min(), all_p_e.max())
 
     # analyze is the same kernel at a stack of one: its report matches too
     for psi, (fields, _) in zip(states, expected):
@@ -472,6 +477,11 @@ def test_sweep_argument_validation():
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*128\), got {seed}$"):
             property_sweep(10, 2, seed=seed)
+    # Philox would truncate 1.5 to 1 and True to 1, while the report named the seed given
+    for seed in (1.5, True, 2.0):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+            property_sweep(10, 2, seed=seed)
+    assert property_sweep(1, 2, seed=np.int64(3)) == property_sweep(1, 2, seed=3)
     with pytest.raises(ValueError, match="local dimension"):
         property_sweep(10, 4, seed=1)
     for tol in (float("nan"), float("inf"), float("-inf"), -1.0):

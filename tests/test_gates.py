@@ -24,6 +24,7 @@ GATE_MESSAGES = [
     "reduced eigenvalues sum to",
     "determinant route gives",
     "must be a square matrix",
+    "expected a real 3-vector",
 ]
 
 
@@ -37,6 +38,14 @@ def test_each_gate_message_is_written_once(message):
 def test_removed_check_is_not_spelled(gone):
     text = "".join(path.read_text(encoding="utf-8") for path in SOURCES)
     assert gone not in text
+
+
+def test_u_norm_is_squared_once_one_way():
+    # a multiply and libm pow round |u|^2 differently in the last bit, so a
+    # second spelling would let the gate and the sweep's det_vs_u_norm disagree
+    text = "".join(path.read_text(encoding="utf-8") for path in SOURCES)
+    assert text.count("np.float_power(u_norm, 2.0)") == 1
+    assert "u_norm * u_norm" not in text
 
 
 BELL = state_from_amplitudes([np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)], 2, 2)

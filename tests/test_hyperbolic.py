@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -47,6 +49,15 @@ def test_rapidity_rejects_light_cone():
 def test_rapidity_shape_check():
     with pytest.raises(ValueError, match="3-vector"):
         rapidity_of([0.1, 0.2])
+
+
+@pytest.mark.parametrize("func", [degree_hyperbolic, rapidity_of, boost_density_residual])
+@pytest.mark.parametrize("u, shape", [([], (0,)), ([0.6, 0.0], (2,)), ([[0.6]], (1, 1)), (0.6, ())])
+def test_every_entry_point_takes_only_a_3_vector(func, u, shape):
+    # degree_hyperbolic once read [] as |u| = 0, maximal entanglement
+    expected = re.escape(f"expected a real 3-vector, got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        func(u)
 
 
 def test_boost_at_rest_is_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entdeg.measure import analyze
 from entdeg.states import (
     density_from_state,
     partial_trace,
@@ -85,6 +86,18 @@ def test_wrong_length_rejected():
 def test_unsupported_dims_rejected():
     with pytest.raises(ValueError, match="unsupported"):
         state_from_amplitudes([1, 0, 0, 0], 4, 1)
+
+
+@pytest.mark.parametrize("dims", [(2.0, 2.0), (2, 3.0), (np.float64(2.0), 2)])
+def test_non_integer_dims_rejected(dims):
+    # 2.0 in (2, 3) holds, so these once built a state that analyze could not read
+    with pytest.raises(ValueError, match=r"^unsupported local dimensions \("):
+        state_from_amplitudes(np.eye(int(dims[0] * dims[1]))[0], *dims)
+
+
+def test_numpy_integer_dims_accepted():
+    psi = state_from_amplitudes([1, 0, 0, 1], np.int64(2), np.int64(2))
+    assert analyze(psi).p_e_det == pytest.approx(1.0)
 
 
 def test_density_three_term_matrix():
