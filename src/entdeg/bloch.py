@@ -32,8 +32,9 @@ and the dense sums of the expansion, under these rules:
 - every generator entry is real or purely imaginary, so a term's real and
   imaginary parts are a real coefficient times Re rho or Im rho, which is
   what numpy's complex multiply gives for such a factor;
-- the parts go back into C-ordered complex arrays in the layout the dense
-  contraction produced, since later reductions round by memory layout.
+- u, v and beta are views of the real columns of the interleaved parts, with
+  the stride ``.real`` of the dense contraction's complex arrays has, since
+  later reductions round by memory layout.
 
 The Bloch-form gates are written once, in ``_decompose_stack``: ``decompose``
 is row 0 of a stack of one, and ``measure._analyze_stack`` appends the same
@@ -44,13 +45,14 @@ so NaN fails it; ``_raise_first`` is where any gate becomes an exception.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .generators import GeneratorSet
+from .generators import GeneratorSet, basis_for
 
 IMAG_RESIDUE_TOL = 1e-12
 
@@ -171,14 +173,12 @@ class _Tables(NamedTuple):
     rho_cols: np.ndarray
 
 
-_TABLES: dict[int, _Tables] = {}
-
-
-def _build_tables(basis: GeneratorSet) -> _Tables:
-    n = basis.dim
+@functools.cache
+def _tables(n: int) -> _Tables:
+    """Term tables of local dimension n, built from ``basis_for(n)`` on first use."""
     dim = n * n
     k = dim - 1
-    gens = np.stack(basis.generators)
+    gens = np.stack(basis_for(n).generators)
     ident = np.eye(n)
     # the Kronecker stacks g_a x 1, 1 x g_b, g_a x g_b, as (operators, dim * dim)
     first = np.einsum("aij,kl->aikjl", gens, ident).reshape(k, -1)
@@ -227,38 +227,7 @@ def _build_tables(basis: GeneratorSet) -> _Tables:
     )
 
 
-def _tables(basis: GeneratorSet) -> _Tables:
-    """Term tables of ``basis``, built on first use."""
-    tables = _TABLES.get(basis.dim)
-    if tables is None:
-        tables = _TABLES[basis.dim] = _build_tables(basis)
-    return tables
-
-
-def _project(rho: np.ndarray, basis: GeneratorSet):
-    """tr(M rho) for every Kronecker operator M, over a C-ordered stack rho.
-
-    Returns u_raw (N, k), v_raw (N, k) and beta_raw (N, k, k), k = n * n - 1,
-    as C-ordered complex arrays equal to the dense contractions, and the
-    largest imaginary part of each sample's traces.
-    """
-    tables = _tables(basis)
-    count = len(rho)
-    x = np.ascontiguousarray(rho.reshape(count, -1).view(np.float64).T)
-    out = _running_sums(tables.project, x)
-    del x
-    out = out.take(tables.natural, axis=0)
-    residue = np.abs(out[1::2]).max(axis=0)
-    raw = np.ascontiguousarray(out.T).view(complex)
-    del out
-    k = basis.dim * basis.dim - 1
-    u_raw = np.ascontiguousarray(raw[:, :k])
-    v_raw = np.ascontiguousarray(raw[:, k : 2 * k])
-    beta_raw = np.ascontiguousarray(raw[:, 2 * k :]).reshape(count, k, k)
-    return u_raw, v_raw, beta_raw, residue
-
-
-def _expand(u, v, beta, basis: GeneratorSet) -> np.ndarray:
+def _expand(u, v, beta, n: int) -> np.ndarray:
     """The expansion of a stack of Bloch data, u, v (N, k) and beta (N, k, k).
 
     Returns the stack of matrices (N, d, d) that the dense sums
@@ -267,9 +236,9 @@ def _expand(u, v, beta, basis: GeneratorSet) -> np.ndarray:
     """
     count = len(u)
     x = np.concatenate([u.T, v.T, beta.reshape(count, -1).T], dtype=np.float64)
-    tables = _tables(basis)
-    pref, w_local, w_pair = _weights(basis.dim)
-    dim = basis.dim * basis.dim
+    tables = _tables(n)
+    pref, w_local, w_pair = _weights(n)
+    dim = n * n
     acc = _running_sums(tables.local_a, x)
     acc += _running_sums(tables.local_b, x)
     acc *= w_local
@@ -283,19 +252,6 @@ def _expand(u, v, beta, basis: GeneratorSet) -> np.ndarray:
     out = np.zeros((count, dim, dim), dtype=complex)
     out.reshape(count, -1).view(np.float64)[:, tables.rho_cols] = acc.T
     return out
-
-
-def _scaled(u_raw, v_raw, beta_raw, local_dim: int):
-    """(u, v, beta) from the raw traces: the real parts, scaled at dim 3.
-
-    The dim-2 parts stay strided ``.real`` views on purpose: contiguous copies
-    send the identity residuals' matmuls down another numpy loop, which rounds
-    differently (``test_golden.py::test_verify_stdout_bytes[2-0-65-1]`` fails).
-    """
-    if local_dim == 2:
-        return u_raw.real, v_raw.real, beta_raw.real
-    s = np.sqrt(3.0) / 2.0
-    return s * u_raw.real, s * v_raw.real, 1.5 * beta_raw.real
 
 
 def _gate(passed, error, message, *values):
@@ -334,24 +290,50 @@ def _norm_gates(norms: np.ndarray, names: str) -> list:
 _BlochStack = namedtuple("_BlochStack", "u v beta sq norms gates")
 
 
-def _decompose_stack(rho: np.ndarray, basis: GeneratorSet) -> _BlochStack:
-    """``decompose`` over a C-ordered stack rho (N, d, d) of finite matrices.
+def _decompose_stack(rho: np.ndarray, n: int) -> _BlochStack:
+    """``decompose`` over a C-ordered stack rho (N, n * n, n * n) of finite matrices.
 
-    Row i equals, bit for bit, what ``decompose`` gives for rho[i]. The gates
-    come in decompose's order: the residue against ``IMAG_RESIDUE_TOL``,
-    then at dim 2 |u| and |v| against 1 + ``LOCAL_NORM_SLACK``.
+    Row i equals, bit for bit, what ``decompose`` gives for rho[i]: u, v and
+    beta are the real parts of the traces, scaled at dim 3, and the residue is
+    a row's largest imaginary part. The gates come in decompose's order: the
+    residue against ``IMAG_RESIDUE_TOL``, then at dim 2 |u| and |v| against
+    1 + ``LOCAL_NORM_SLACK``.
+
+    The dim-2 parts keep the 16-byte last-axis stride of ``.real`` on purpose:
+    contiguous copies send the identity residuals' matmuls down another numpy
+    loop, which rounds differently
+    (``test_golden.py::test_verify_stdout_bytes[2-0-65-1]`` fails).
     """
-    n = basis.dim
-    u_raw, v_raw, beta_raw, residue = _project(rho, basis)
-    u, v, beta = _scaled(u_raw, v_raw, beta_raw, n)
+    tables = _tables(n)
+    count, k = len(rho), n * n - 1
+    x = np.ascontiguousarray(rho.reshape(count, -1).view(np.float64).T)
+    out = _running_sums(tables.project, x)
+    del x
+    out = out.take(tables.natural, axis=0)
+    residue = np.abs(out[1::2]).max(axis=0)
+    re = np.ascontiguousarray(out.T)[:, 0::2]
+    del out
+    u, v, beta = re[:, :k], re[:, k : 2 * k], re[:, 2 * k :].reshape(count, k, k)
+    if n == 3:
+        s = np.sqrt(3.0) / 2.0
+        u, v, beta = s * u, s * v, 1.5 * beta
     # squared norms as np.linalg.norm sums them: it dots a contiguous copy
     uv = np.concatenate([u, v])
-    sq = (uv[:, None, :] @ uv[:, :, None]).reshape(2, len(rho))
+    sq = (uv[:, None, :] @ uv[:, :, None]).reshape(2, count)
     norms = np.sqrt(sq)
     gates = [_residue_gate(residue)]
     if n == 2:
         gates += _norm_gates(norms, "uv")
     return _BlochStack(u, v, beta, sq, norms, gates)
+
+
+def _local_dim(basis: GeneratorSet) -> int:
+    """The dimension n of ``basis``, which must be ``basis_for(n)``: the term
+    tables are built from that set and would read any other as it."""
+    n = basis.dim
+    if basis is not basis_for(n):
+        raise ValueError(f"basis is not basis_for({n}), the generator set of local dimension {n}")
+    return n
 
 
 def decompose(rho, basis: GeneratorSet) -> BlochForm:
@@ -362,13 +344,13 @@ def decompose(rho, basis: GeneratorSet) -> BlochForm:
     NaN or infinite entry raises too. The matrix is row 0 of a stack of one
     in ``_decompose_stack``; the first gate it fails raises.
     """
-    n = basis.dim
+    n = _local_dim(basis)
     a = np.asarray(rho, dtype=complex)
     if a.shape != (n * n, n * n):
         raise ValueError(f"rho has shape {a.shape}, expected {(n * n, n * n)}")
     if not np.isfinite(a).all():
         raise _not_finite(a)
-    s = _decompose_stack(np.ascontiguousarray(a)[None], basis)
+    s = _decompose_stack(np.ascontiguousarray(a)[None], n)
     _raise_first(s.gates, 0)
     return BlochForm(local_dim=n, u=s.u[0], v=s.v[0], beta=s.beta[0])
 
@@ -379,10 +361,11 @@ def reconstruct(bf: BlochForm, basis: GeneratorSet) -> np.ndarray:
     The result is Hermitian with unit trace by construction; positivity is
     not checked, since arbitrary (u, v, beta) need not describe a state.
     """
-    if bf.local_dim != basis.dim:
-        raise ValueError(f"BlochForm dim {bf.local_dim} does not match basis dim {basis.dim}")
+    n = _local_dim(basis)
+    if bf.local_dim != n:
+        raise ValueError(f"BlochForm dim {bf.local_dim} does not match basis dim {n}")
     u, v, beta = (np.asarray(part)[None] for part in (bf.u, bf.v, bf.beta))
-    return _expand(u, v, beta, basis)[0]
+    return _expand(u, v, beta, n)[0]
 
 
 def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:
@@ -391,7 +374,7 @@ def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:
     Agrees with the u (or v) component of ``decompose`` applied to the joint
     state whose partial trace produced ``rho_local``.
     """
-    n = basis.dim
+    n = _local_dim(basis)
     a = np.asarray(rho_local, dtype=complex)
     if a.shape != (n, n):
         raise ValueError(f"rho_local has shape {a.shape}, expected {(n, n)}")

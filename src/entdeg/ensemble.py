@@ -4,8 +4,11 @@ Reproducibility contract: sample number ``idx`` of a sweep depends only on
 (seed, idx), never on chunking. Each sample owns a Philox counter block
 derived from its index (the index sits in the highest counter word, so
 per-sample streams cannot overlap), and the Gaussian variates are produced
-by an explicit Box-Muller transform on the raw 64-bit output, so the draw
-sequence is pinned by this file rather than by library internals.
+by an explicit Box-Muller transform on the raw 64-bit output, not by numpy's
+``Generator`` methods. The bits of a draw still follow the dispatch: ``np.log``
+in ``_box_muller`` rounds by numpy's SIMD target, and ``_unit_rows``' ``@`` at
+dim 3 by OpenBLAS's core, so (seed, idx) pins a state bit for bit only on one
+dispatch; ``tests/golden.json`` records the one its digests hold on.
 ``state_for_index`` draws one sample from ``np.random.Philox``; the sweep
 computes the same Philox4x64-10 output in numpy for ``DRAW`` samples at a
 time (``_raw_words``), bit for bit, so the per-sample generator remains the
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _expand, _raise_first
-from .generators import basis_for
 from .hyperbolic import _ARTANH_SAFE_MARGIN
 from .measure import _analyze_stack, _clamp_low, analyze  # analyze: bench/test_perfbench.py
 from .states import StateVector, state_from_amplitudes
@@ -90,6 +92,19 @@ def _box_muller(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
+def _integer(name: str, value, allowed, expected: str) -> int:
+    """``value`` as a Python int, if it is an integer in ``allowed``; else ValueError.
+
+    A float or a bool is no integer here, even when integral: int() and Philox
+    would both read 1.5 or True as 1, while a report names the value given.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if int(value) not in allowed:  # int(): range tests a numpy integer by iterating
+        raise ValueError(f"{name} must be {expected}, got {int(value)}")
+    return int(value)
+
+
 def haar_random_pure(total_dim: int, rng: np.random.BitGenerator) -> StateVector:
     """One Haar-distributed pure state of dimension 4 or 9.
 
@@ -98,8 +113,7 @@ def haar_random_pure(total_dim: int, rng: np.random.BitGenerator) -> StateVector
     Gaussian under unitaries makes the result uniform on the sphere.
     ``rng`` is a numpy bit generator, e.g. ``np.random.Philox(key=seed)``.
     """
-    if total_dim not in (4, 9):
-        raise ValueError(f"total dimension must be 4 or 9, got {total_dim}")
+    total_dim = _integer("total dimension", total_dim, (4, 9), "4 or 9")
     n = 2 if total_dim == 4 else 3
     raw = rng.random_raw(2 * total_dim)
     re, im = _box_muller(raw)
@@ -114,8 +128,10 @@ def state_for_index(local_dim: int, seed: int, index: int) -> StateVector:
     The per-sample counter makes it independent of every other sample, so
     the sweep's stacked draw (``_haar_rows``) reproduces it bit for bit.
     """
+    local_dim = _integer("local dimension", local_dim, (2, 3), "2 or 3")
+    seed = _integer("seed", seed, range(2**128), "in [0, 2**128)")
     counter = np.zeros(4, dtype=np.uint64)
-    counter[3] = np.uint64(index)
+    counter[3] = _integer("index", index, range(2**64), "in [0, 2**64)")
     rng = np.random.Philox(key=seed, counter=counter)
     return haar_random_pure(local_dim * local_dim, rng)
 
@@ -210,7 +226,7 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
     if not passed.all():
         _raise_first(s.gates, int(np.argmin(passed)))
 
-    back = _expand(s.u, s.v, s.beta, basis_for(n))
+    back = _expand(s.u, s.v, s.beta, n)
     # np.abs of the complex difference, as ``reconstruct(...) - rho`` is taken
     # (np.hypot of the parts rounds differently on some builds)
     residuals = {
@@ -271,15 +287,10 @@ def property_sweep(
     thread: its many small numpy calls hold the interpreter lock, so more
     threads would not make it faster.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if local_dim not in (2, 3):
-        raise ValueError(f"local dimension must be 2 or 3, got {local_dim}")
-    # int() and Philox would both truncate a fractional seed; bool is an int
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    # a sample's index is its 64-bit counter word, so at most 2**64 samples
+    samples = _integer("samples", samples, range(1, 2**64 + 1), "at least 1 and at most 2**64")
+    local_dim = _integer("local dimension", local_dim, (2, 3), "2 or 3")
+    seed = _integer("seed", seed, range(2**128), "in [0, 2**128)")
     # NaN would print as invalid JSON, inf would pass every finite residual
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochForm, _decompose_stack, _gate, _not_finite, _raise_first
-from .generators import basis_for
 from .linalg import _hermiticity_gate, det_real, herm_eigvals
 from .states import StateVector, density_from_state, partial_trace
 
@@ -256,7 +255,7 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
               "purity gate failed: tr(rho^2) = {}", pur),
     ]
 
-    bloch = _decompose_stack(rho, basis_for(n))
+    bloch = _decompose_stack(rho, n)
     gates += bloch.gates
     u, v, beta = bloch.u, bloch.v, bloch.beta
     u_norm, v_norm = bloch.norms

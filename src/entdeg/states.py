@@ -81,6 +81,8 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
     integral = isinstance(dim_a, (int, np.integer)) and isinstance(dim_b, (int, np.integer))
     if not integral or dim_a not in (2, 3) or dim_b not in (2, 3):
         raise ValueError(f"unsupported local dimensions ({dim_a}, {dim_b})")
+    # a numpy integer would reach the report and break its JSON
+    dim_a, dim_b = int(dim_a), int(dim_b)
     a = np.asarray(amps, dtype=complex).ravel()
     if a.size != dim_a * dim_b:
         raise ValueError(

@@ -1,4 +1,9 @@
+import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from entdeg import bloch, ensemble
 from entdeg.bloch import BlochForm, bloch_of_reduced, decompose, reconstruct
-from entdeg.generators import basis_for
+from entdeg.generators import GeneratorSet, basis_for
 from entdeg.states import density_from_state, partial_trace, state_from_amplitudes
 
 S3 = 1 / np.sqrt(3)
@@ -129,6 +134,65 @@ def test_bloch_of_reduced_rejects_a_wrong_shape(n, shape):
         bloch_of_reduced(np.zeros(shape), basis_for(n))
 
 
+def _reordered(n):
+    """basis_for(n) with its last generator moved first: a valid basis, but not basis_for(n)."""
+    gens = basis_for(n).generators
+    return GeneratorSet(n, gens[-1:] + gens[:-1], basis_for(n).identity)
+
+
+PUBLIC_CALLS = {
+    "decompose": lambda n, basis: decompose(np.eye(n * n) / (n * n), basis),
+    "reconstruct": lambda n, basis: reconstruct(
+        BlochForm(n, np.zeros(n * n - 1), np.zeros(n * n - 1), np.zeros((n * n - 1,) * 2)), basis
+    ),
+    "bloch_of_reduced": lambda n, basis: bloch_of_reduced(np.eye(n) / n, basis),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("call", PUBLIC_CALLS.values(), ids=PUBLIC_CALLS.keys())
+def test_a_foreign_generator_set_is_rejected_naming_the_dimension(n, call):
+    # the term tables hold basis_for(n); an equal copy is not that object either
+    expected = re.escape(f"basis is not basis_for({n}), the generator set of local dimension {n}")
+    for foreign in (_reordered(n), dataclasses.replace(basis_for(n))):
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            call(n, foreign)
+    call(n, basis_for(n))
+
+
+FOREIGN_FIRST = """
+from entdeg import analyze
+from entdeg.bloch import decompose
+from entdeg.generators import GeneratorSet, basis_for
+from entdeg.states import density_from_state, state_from_amplitudes
+
+pauli = basis_for(2)
+# sigma_z, sigma_x, sigma_y: |00> has u = (1, 0, 0) in this order
+reordered = GeneratorSet(2, pauli.generators[2:] + pauli.generators[:2], pauli.identity)
+psi = state_from_amplitudes([1, 0, 0, 0], 2, 2)
+try:
+    decompose(density_from_state(psi), reordered)
+except ValueError:
+    pass
+print(decompose(density_from_state(psi), pauli).u.tolist(), analyze(psi).u)
+"""
+
+
+def test_a_foreign_set_first_in_a_process_leaves_later_calls_standard():
+    # the term tables are built once per process, so this needs a fresh one
+    src = str(Path(bloch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOREIGN_FIRST],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0.0, 0.0, 1.0] (0.0, 0.0, 1.0)\n"
+
+
 def _random_pure_rho(rng, n):
     z = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     psi = state_from_amplitudes(z / np.linalg.norm(z), n, n)
@@ -201,6 +265,14 @@ def _dense_project(rho, basis):
     )
 
 
+def _dense_scaled(u_raw, v_raw, beta_raw, n):
+    """(u, v, beta) from the dense traces: the real parts, scaled at dim 3."""
+    if n == 2:
+        return u_raw.real, v_raw.real, beta_raw.real
+    s = np.sqrt(3.0) / 2.0
+    return s * u_raw.real, s * v_raw.real, 1.5 * beta_raw.real
+
+
 def _dense_expand(u, v, beta, basis):
     first, second, pair = _dense_stacks(basis)
     pref, w_local, w_pair = bloch._weights(basis.dim)
@@ -218,7 +290,10 @@ def _haar_stack(n, count, seed):
 
 @pytest.mark.parametrize("basis", [basis_for(2), basis_for(3)])
 @pytest.mark.parametrize("count", [1, 7, 64])
-def test_sparse_kernel_equals_dense_einsums(basis, count):
+def test_sparse_kernel_equals_dense_einsums(monkeypatch, basis, count):
+    residues = []
+    real_gate = bloch._residue_gate
+    monkeypatch.setattr(bloch, "_residue_gate", lambda r: residues.append(r) or real_gate(r))
     for seed in range(3):
         rho = _haar_stack(basis.dim, count, seed)
         if seed == 2:
@@ -230,22 +305,25 @@ def test_sparse_kernel_equals_dense_einsums(basis, count):
             rho.real = np.where(one.real == 0.0, -0.0, one.real)
             rho.imag = -0.0
         dense = _dense_project(rho, basis)
-        *sparse, residues = bloch._project(rho, basis)
-        for want, got in zip(dense, sparse):
-            assert got.flags.c_contiguous and got.shape == want.shape
+        s = bloch._decompose_stack(rho, basis.dim)
+        for want, got in zip(_dense_scaled(*dense, basis.dim), (s.u, s.v, s.beta)):
+            assert got.shape == want.shape
+            if basis.dim == 2:
+                # the stride of .real of a complex array, as the dense route has
+                assert got.strides[-1] == 16
             assert np.array_equal(got, want)
             # the sign of zero too: analyze prints u and v
-            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(
-            residues,
+            residues.pop(),
             np.maximum(
                 np.maximum(np.abs(dense[0].imag).max(axis=1), np.abs(dense[1].imag).max(axis=1)),
                 np.abs(dense[2].imag).max(axis=(1, 2)),
             ),
         )
-        u, v, beta = bloch._scaled(*dense, basis.dim)
+        u, v, beta = _dense_scaled(*dense, basis.dim)
         want = _dense_expand(u, v, beta, basis)
-        got = bloch._expand(u, v, beta, basis)
+        got = bloch._expand(u, v, beta, basis.dim)
         assert np.array_equal(got, want)
         assert np.array_equal(np.abs(got - rho), np.abs(want - rho))
 
@@ -256,7 +334,7 @@ def test_single_state_routes_equal_dense_einsums(basis):
     for one in rho:
         bf = decompose(one, basis)
         u_raw, v_raw, beta_raw = (part[0] for part in _dense_project(one[None], basis))
-        want_u, want_v, want_beta = bloch._scaled(u_raw, v_raw, beta_raw, basis.dim)
+        want_u, want_v, want_beta = _dense_scaled(u_raw, v_raw, beta_raw, basis.dim)
         assert np.array_equal(bf.u, want_u) and np.array_equal(bf.v, want_v)
         assert np.array_equal(bf.beta, want_beta)
         want = _dense_expand(bf.u[None], bf.v[None], bf.beta[None], basis)[0]
@@ -266,7 +344,7 @@ def test_single_state_routes_equal_dense_einsums(basis):
 @pytest.mark.parametrize("basis, nonzero", [(basis_for(2), 60), (basis_for(3), 391)])
 def test_term_tables_hold_the_dense_nonzeros(basis, nonzero):
     assert sum(np.count_nonzero(stack) for stack in _dense_stacks(basis)) == nonzero
-    tables = bloch._tables(basis)
+    tables = bloch._tables(basis.dim)
     # every nonzero entry is one term of the expansion, and one term each of
     # the real and the imaginary part of its projection
     expansion = (tables.local_a, tables.local_b, tables.pair)

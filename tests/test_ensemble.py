@@ -27,7 +27,13 @@ from entdeg.measure import (
     purity_constraints_report,
     schmidt_coeffs,
 )
-from entdeg.states import StateVector, density_from_state, partial_trace, purity
+from entdeg.states import (
+    StateVector,
+    density_from_state,
+    partial_trace,
+    purity,
+    state_from_amplitudes,
+)
 
 QUBIT_KEYS = {
     "roundtrip",
@@ -488,6 +494,55 @@ def test_sweep_argument_validation():
         with pytest.raises(ValueError, match=rf"^tol must be finite and at least 0, got {tol}$"):
             property_sweep(10, 2, seed=1, tol=tol)
     assert property_sweep(1, 2, seed=1, tol=0.0).tol == 0.0
+
+
+# each argument of the draw, a value that is not an integer or is out of range,
+# and the message it raises; True and 2.0 equal integers but are not counts
+BAD_DRAW_ARGUMENTS = [
+    (property_sweep, (3, 2.0, 1), "local dimension must be an integer, got 2.0"),
+    (property_sweep, (2.5, 2, 1), "samples must be an integer, got 2.5"),
+    (property_sweep, (True, 2, 1), "samples must be an integer, got True"),
+    # samples is checked first, so the fractional seed is never reached
+    (property_sweep, (2**64 + 1, 2, 1.5), "samples must be at least 1 and at most 2**64, got "
+     f"{2**64 + 1}"),
+    (state_for_index, (2, 1.5, 0), "seed must be an integer, got 1.5"),
+    (state_for_index, (2, 1, 1.5), "index must be an integer, got 1.5"),
+    (state_for_index, (2, True, 0), "seed must be an integer, got True"),
+    (state_for_index, (2.0, 1, 0), "local dimension must be an integer, got 2.0"),
+    (state_for_index, (2, 1, -1), "index must be in [0, 2**64), got -1"),
+    (state_for_index, (2, 1, 2**64), f"index must be in [0, 2**64), got {2**64}"),
+    (state_for_index, (2, 2**128, 0), f"seed must be in [0, 2**128), got {2**128}"),
+    (state_for_index, (4, 1, 0), "local dimension must be 2 or 3, got 4"),
+    (haar_random_pure, (4.0, None), "total dimension must be an integer, got 4.0"),
+    (haar_random_pure, (16, None), "total dimension must be 4 or 9, got 16"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    BAD_DRAW_ARGUMENTS,
+    ids=[f"{f.__name__}-{k}" for k, (f, _, _) in enumerate(BAD_DRAW_ARGUMENTS)],
+)
+def test_draw_arguments_must_be_integers_in_range(function, args, message):
+    with pytest.raises(ValueError) as caught:
+        function(*args)
+    assert str(caught.value) == message
+
+
+def test_numpy_integer_arguments_draw_and_report_as_python_ints():
+    assert np.array_equal(
+        state_for_index(np.int64(3), np.uint64(5), np.uint64(2**40)).amplitudes,
+        state_for_index(3, 5, 2**40).amplitudes,
+    )
+    assert state_for_index(2, 1, 2**64 - 1).dim_a == 2  # the last counter word
+    amps = [0.3, 0.4j, 0.5, 0.1]
+    psi = state_from_amplitudes(amps, np.int64(2), np.int64(2))
+    assert type(psi.dim_a) is int and type(psi.dim_b) is int
+    plain = state_from_amplitudes(amps, 2, 2)
+    assert cli.emit_json(analyze(psi)) == cli.emit_json(analyze(plain))
+    rep = property_sweep(np.int64(3), np.int64(2), np.int64(1))
+    assert all(type(x) is int for x in (rep.samples, rep.local_dim, rep.seed))
+    assert cli.emit_json(rep) == cli.emit_json(property_sweep(3, 2, 1))
 
 
 

@@ -25,6 +25,7 @@ GATE_MESSAGES = [
     "determinant route gives",
     "must be a square matrix",
     "expected a real 3-vector",
+    "the generator set of local dimension",
 ]
 
 

@@ -5,10 +5,14 @@ both formats on the built-in fixtures, and the ``examples`` table.
 
 The digests in ``golden.json`` were recorded from the per-state reference
 implementation of ``verify`` (one ``analyze`` call per sample) with numpy
-2.4 on x86-64 with AVX-512; the last bits of a residual can depend on
-numpy's build and the CPU. Any change to the sweep or to ``analyze`` must
-reproduce every byte. To record the digests afresh from the ``entdeg`` on
-the import path:
+2.4 on x86-64 with AVX-512. Any change to the sweep or to ``analyze`` must
+reproduce every byte. The bytes hold on the dispatch they were recorded
+under, which ``golden.json`` keeps under the key ``"dispatch"``: numpy's
+``np.log``, ``np.cosh`` and ``np.arctanh`` follow its SIMD target, and the
+stacked ``@`` and ``np.linalg.det`` follow OpenBLAS's core, so another CPU or
+build can move the last bits of the draw and of a residual. A mismatch names
+the recorded and the current dispatch. To record the digests and the
+dispatch afresh from the ``entdeg`` on the import path:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -16,6 +20,7 @@ the import path:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -23,6 +28,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entdeg import cli
@@ -78,6 +84,43 @@ def fixture_key(index: int, fmt: str = "json") -> str:
 FORMATS = ("json", "table")
 
 
+def _openblas_core() -> str:
+    """The core OpenBLAS picked for this CPU, from the library numpy ships."""
+    libs = Path(np.__file__).resolve().parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def dispatch() -> dict:
+    """What the last bits of the digests depend on: numpy's version and SIMD
+    dispatch, and the OpenBLAS core."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "numpy": np.__version__,
+        "cpu_dispatch": list(umath.__cpu_dispatch__),
+        "cpu_features": [name for name, on in umath.__cpu_features__.items() if on],
+        "openblas_core": _openblas_core(),
+    }
+
+
+def check_digest(golden: dict, key: str, digest: str) -> None:
+    """Fail unless ``digest`` is the one recorded for ``key``, naming both dispatches."""
+    assert digest == golden[key], (
+        f"{key}: sha256 {digest}, recorded {golden[key]}\n"
+        f"recorded under {golden.get('dispatch', 'an unrecorded dispatch')}\n"
+        f"running under {dispatch()}"
+    )
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict[str, str]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -85,21 +128,38 @@ def golden() -> dict[str, str]:
 
 @pytest.mark.parametrize("case", verify_cases(), ids=lambda c: "-".join(map(str, c)))
 def test_verify_stdout_bytes(golden, case):
-    assert verify_digest(*case) == golden[verify_key(*case)]
+    check_digest(golden, verify_key(*case), verify_digest(*case))
 
 
 @pytest.mark.parametrize("index", range(len(example_fixtures())))
 def test_analyze_fixture_bytes(golden, tmp_path, index):
-    assert fixture_digest(index, tmp_path) == golden[fixture_key(index)]
+    check_digest(golden, fixture_key(index), fixture_digest(index, tmp_path))
 
 
 @pytest.mark.parametrize("index", range(len(example_fixtures())))
 def test_analyze_fixture_table_bytes(golden, tmp_path, index):
-    assert fixture_digest(index, tmp_path, "table") == golden[fixture_key(index, "table")]
+    check_digest(golden, fixture_key(index, "table"), fixture_digest(index, tmp_path, "table"))
 
 
 def test_examples_stdout_bytes(golden):
-    assert _run(["examples"]) == golden["examples"]
+    check_digest(golden, "examples", _run(["examples"]))
+
+
+def test_the_golden_set_records_its_dispatch(golden):
+    assert golden["dispatch"].keys() == dispatch().keys()
+    assert golden["dispatch"]["openblas_core"]
+
+
+def test_a_mismatch_names_the_recorded_and_the_current_dispatch():
+    recorded = {**dispatch(), "openblas_core": "Haswell"}
+    golden = {"examples": "0" * 64, "dispatch": recorded}
+    with pytest.raises(AssertionError) as caught:
+        check_digest(golden, "examples", "f" * 64)
+    text = str(caught.value)
+    assert text.startswith(f"examples: sha256 {'f' * 64}, recorded {'0' * 64}\n")
+    assert f"recorded under {recorded}\n" in text
+    assert f"running under {dispatch()}" in text
+    check_digest(golden, "examples", "0" * 64)
 
 
 def write_golden() -> None:
@@ -109,6 +169,7 @@ def write_golden() -> None:
             for index in range(len(example_fixtures())):
                 table[fixture_key(index, fmt)] = fixture_digest(index, Path(tmp), fmt)
     table["examples"] = _run(["examples"])
+    table["dispatch"] = dispatch()
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
 
 
