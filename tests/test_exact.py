@@ -122,8 +122,8 @@ def exact_minus_det_alpha(amplitudes, n: int) -> Fraction:
     return Fraction(-_bareiss_det(rows), 4 * (6 * norm) ** 9)
 
 
-def _haar_states(n: int, count: int, seed: int = 11):
-    return [state_for_index(n, seed, idx) for idx in range(count)]
+def _haar_states(n: int, count: int):
+    return [state_for_index(n, 11, idx) for idx in range(count)]
 
 
 def _cofactors(m):
