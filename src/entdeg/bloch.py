@@ -32,9 +32,15 @@ and the dense sums of the expansion, under these rules:
 - every generator entry is real or purely imaginary, so a term's real and
   imaginary parts are a real coefficient times Re rho or Im rho, which is
   what numpy's complex multiply gives for such a factor;
-- u, v and beta are views of the real columns of the interleaved parts, with
-  the stride ``.real`` of the dense contraction's complex arrays has, since
-  later reductions round by memory layout.
+- at dim 2, u, v and beta are views of the real columns of the interleaved
+  parts, with the stride ``.real`` of the dense contraction's complex arrays
+  has, since later reductions round by memory layout; at dim 3, where no
+  later step depends on it, they are views of the coefficient rows.
+
+Both directions read float rows with one column per state: the projection
+the real and imaginary parts of rho's entries (``_float_rows``), the
+expansion the coefficient rows of u, v and beta, which ``_decompose_stack``
+returns beside them.
 
 The Bloch-form gates are written once, in ``_decompose_stack``: ``decompose``
 is row 0 of a stack of one, and ``measure._analyze_stack`` appends the same
@@ -165,6 +171,9 @@ class _Tables(NamedTuple):
     # their sorted positions in natural order (u, v, beta; real, imaginary)
     project: _Terms
     natural: np.ndarray
+    # the factor of each real part in u, v and beta: 1 at dim 2, sqrt(3)/2
+    # on u and v and 3/2 on beta at dim 3, as a (2k + k^2, 1) column
+    scale: np.ndarray
     # the three sums of the expansion, over the parts of rho that have
     # terms: float columns ``rho_cols``, the first ``dim`` the diagonal
     local_a: _Terms
@@ -217,9 +226,11 @@ def _tables(n: int) -> _Tables:
     has_terms[diagonal] = False
     pair_counts = (sums[2][0] != 0.0).sum(axis=1)
     keep = np.concatenate([diagonal, _by_count(np.flatnonzero(has_terms), pair_counts)])
+    w_uv, w_beta = (1.0, 1.0) if n == 2 else (np.sqrt(3.0) / 2.0, 1.5)
     return _Tables(
         project=_terms(coef, src, order),
         natural=natural,
+        scale=np.repeat([w_uv, w_beta], [2 * k, k * k])[:, None],
         local_a=_terms(*sums[0], keep),
         local_b=_terms(*sums[1], keep),
         pair=_terms(*sums[2], keep),
@@ -227,24 +238,23 @@ def _tables(n: int) -> _Tables:
     )
 
 
-def _expand(u, v, beta, n: int) -> np.ndarray:
-    """The expansion of a stack of Bloch data, u, v (N, k) and beta (N, k, k).
+def _expand(rows: np.ndarray, n: int) -> np.ndarray:
+    """The expansion of a stack of Bloch data, as the coefficient rows
+    (2k + k^2, N): u, v and the row-major beta of state i in column i.
 
     Returns the stack of matrices (N, d, d) that the dense sums
     ``pref (1 + w_local (sum_a u_a g_a x 1 + sum_b v_b 1 x g_b)
     + w_pair sum_ab beta_ab g_a x g_b)`` give, evaluated in that order.
     """
-    count = len(u)
-    x = np.concatenate([u.T, v.T, beta.reshape(count, -1).T], dtype=np.float64)
+    count = rows.shape[1]
     tables = _tables(n)
     pref, w_local, w_pair = _weights(n)
     dim = n * n
-    acc = _running_sums(tables.local_a, x)
-    acc += _running_sums(tables.local_b, x)
+    acc = _running_sums(tables.local_a, rows)
+    acc += _running_sums(tables.local_b, rows)
     acc *= w_local
     acc[:dim] += 1.0
-    pair = _running_sums(tables.pair, x)
-    del x
+    pair = _running_sums(tables.pair, rows)
     pair *= w_pair
     acc += pair
     del pair
@@ -285,19 +295,27 @@ def _norm_gates(norms: np.ndarray, names: str) -> list:
             for k, name in enumerate(names)]
 
 
-# What ``_decompose_stack`` computes, one row per state; ``sq`` and ``norms``
-# hold the squared norms and norms of u (row 0) and of v (row 1)
-_BlochStack = namedtuple("_BlochStack", "u v beta sq norms gates")
+# What ``_decompose_stack`` computes, one row per state; ``rows`` holds u, v
+# and beta as the coefficient rows ``_expand`` reads, ``sq`` and ``norms`` the
+# squared norms and norms of u (row 0) and of v (row 1)
+_BlochStack = namedtuple("_BlochStack", "u v beta rows sq norms gates")
 
 
-def _decompose_stack(rho: np.ndarray, n: int) -> _BlochStack:
-    """``decompose`` over a C-ordered stack rho (N, n * n, n * n) of finite matrices.
+def _float_rows(rho: np.ndarray) -> np.ndarray:
+    """The stack rho (N, d, d) as float rows (2 d^2, N): the real and the
+    imaginary part of each entry in turn, matrix i in column i."""
+    return np.ascontiguousarray(rho.reshape(len(rho), -1).view(np.float64).T)
 
-    Row i equals, bit for bit, what ``decompose`` gives for rho[i]: u, v and
-    beta are the real parts of the traces, scaled at dim 3, and the residue is
-    a row's largest imaginary part. The gates come in decompose's order: the
-    residue against ``IMAG_RESIDUE_TOL``, then at dim 2 |u| and |v| against
-    1 + ``LOCAL_NORM_SLACK``.
+
+def _decompose_stack(x: np.ndarray, n: int) -> _BlochStack:
+    """``decompose`` over a stack of finite matrices, given as their float
+    rows x (2 (n * n)^2, N) (``_float_rows``).
+
+    Row i equals, bit for bit, what ``decompose`` gives for the matrix in
+    column i of x: u, v and beta are the real parts of the traces, scaled at
+    dim 3, and the residue is a matrix's largest imaginary part. The gates
+    come in decompose's order: the residue against ``IMAG_RESIDUE_TOL``, then
+    at dim 2 |u| and |v| against 1 + ``LOCAL_NORM_SLACK``.
 
     The dim-2 parts keep the 16-byte last-axis stride of ``.real`` on purpose:
     contiguous copies send the identity residuals' matmuls down another numpy
@@ -305,18 +323,14 @@ def _decompose_stack(rho: np.ndarray, n: int) -> _BlochStack:
     (``test_golden.py::test_verify_stdout_bytes[2-0-65-1]`` fails).
     """
     tables = _tables(n)
-    count, k = len(rho), n * n - 1
-    x = np.ascontiguousarray(rho.reshape(count, -1).view(np.float64).T)
+    count, k = x.shape[1], n * n - 1
     out = _running_sums(tables.project, x)
-    del x
     out = out.take(tables.natural, axis=0)
     residue = np.abs(out[1::2]).max(axis=0)
-    re = np.ascontiguousarray(out.T)[:, 0::2]
+    rows = out[0::2] * tables.scale
+    re = np.ascontiguousarray(out.T)[:, 0::2] if n == 2 else rows.T
     del out
     u, v, beta = re[:, :k], re[:, k : 2 * k], re[:, 2 * k :].reshape(count, k, k)
-    if n == 3:
-        s = np.sqrt(3.0) / 2.0
-        u, v, beta = s * u, s * v, 1.5 * beta
     # squared norms as np.linalg.norm sums them: it dots a contiguous copy
     uv = np.concatenate([u, v])
     sq = (uv[:, None, :] @ uv[:, :, None]).reshape(2, count)
@@ -324,7 +338,7 @@ def _decompose_stack(rho: np.ndarray, n: int) -> _BlochStack:
     gates = [_residue_gate(residue)]
     if n == 2:
         gates += _norm_gates(norms, "uv")
-    return _BlochStack(u, v, beta, sq, norms, gates)
+    return _BlochStack(u, v, beta, rows, sq, norms, gates)
 
 
 def _local_dim(basis: GeneratorSet) -> int:
@@ -350,7 +364,7 @@ def decompose(rho, basis: GeneratorSet) -> BlochForm:
         raise ValueError(f"rho has shape {a.shape}, expected {(n * n, n * n)}")
     if not np.isfinite(a).all():
         raise _not_finite(a)
-    s = _decompose_stack(np.ascontiguousarray(a)[None], n)
+    s = _decompose_stack(_float_rows(a[None]), n)
     _raise_first(s.gates, 0)
     return BlochForm(local_dim=n, u=s.u[0], v=s.v[0], beta=s.beta[0])
 
@@ -364,8 +378,12 @@ def reconstruct(bf: BlochForm, basis: GeneratorSet) -> np.ndarray:
     n = _local_dim(basis)
     if bf.local_dim != n:
         raise ValueError(f"BlochForm dim {bf.local_dim} does not match basis dim {n}")
-    u, v, beta = (np.asarray(part)[None] for part in (bf.u, bf.v, bf.beta))
-    return _expand(u, v, beta, n)[0]
+    k = n * n - 1
+    parts = [np.asarray(part) for part in (bf.u, bf.v, bf.beta)]
+    shapes, expected = tuple(part.shape for part in parts), ((k,), (k,), (k, k))
+    if shapes != expected:
+        raise ValueError(f"BlochForm parts u, v, beta have shapes {shapes}, expected {expected}")
+    return _expand(np.concatenate([part.reshape(-1, 1) for part in parts], dtype=np.float64), n)[0]
 
 
 def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:

@@ -32,8 +32,9 @@ import numpy as np
 
 from .bloch import _expand, _raise_first
 from .hyperbolic import _ARTANH_SAFE_MARGIN
-from .measure import _analyze_stack, _clamp_low, analyze  # analyze: bench/test_perfbench.py
-from .states import StateVector, state_from_amplitudes
+from .measure import _analyze_stack, _clamp_low, _density_stack
+from .measure import analyze  # bench/test_perfbench.py
+from .states import StateVector, _is_integer, state_from_amplitudes
 
 _U64_SHIFT = np.uint64(11)
 _TWO_NEG53 = 2.0 ** -53
@@ -55,12 +56,17 @@ DEFAULT_TOL = 1e-9
 DRAW = 512
 
 # Samples per stacked evaluation, per local dimension. A qubit chunk of 256
-# holds a whole 200-sample call. A qutrit chunk's working set grows about five
-# times as fast; past 64 rows it outgrows the heap glibc keeps, and the minor
-# page faults (``resource.getrusage(...).ru_minflt``) of a warm
-# ``property_sweep(200, 3, seed)``, almost always 0 at 64 rows but by heap
-# layout up to 218 at 67, 265 at 80 and 356 at 100, cost more than they save.
-CHUNK = {2: 256, 3: 64}
+# holds a whole 200-sample call, a qutrit chunk of 100 half of one. A qutrit
+# chunk's working set grows about five times as fast; once it outgrows the
+# heap glibc keeps, the minor page faults (``resource.getrusage(...)
+# .ru_minflt``) of a warm ``property_sweep(200, 3, seed)`` cost more than the
+# larger stack saves. Traced by tracemalloc, a qutrit chunk that holds rho
+# throughout peaks at 460 KiB at 64 rows and at 680 KiB at 100, with 356
+# faults per call. The kernel lets rho go before its projection, and the
+# round trip reads u, v and beta without a copy and forms rho again after the
+# expansion: 491 KiB at 100 rows, and 0 faults in 200 calls in each of 6
+# fresh processes.
+CHUNK = {2: 256, 3: 100}
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,10 @@ def _box_muller(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _integer(name: str, value, allowed, expected: str) -> int:
     """``value`` as a Python int, if it is an integer in ``allowed``; else ValueError.
 
-    A float or a bool is no integer here, even when integral: int() and Philox
-    would both read 1.5 or True as 1, while a report names the value given.
+    A float or a bool is no integer here (``states._is_integer``): int() and
+    Philox would both read 1.5 or True as 1, while a report names the value given.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if int(value) not in allowed:  # int(): range tests a numpy integer by iterating
         raise ValueError(f"{name} must be {expected}, got {int(value)}")
@@ -226,11 +232,14 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
     if not passed.all():
         _raise_first(s.gates, int(np.argmin(passed)))
 
-    back = _expand(s.u, s.v, s.beta, n)
-    # np.abs of the complex difference, as ``reconstruct(...) - rho`` is taken
-    # (np.hypot of the parts rounds differently on some builds)
+    # the stack keeps no rho, so it is formed again after the expansion, the
+    # other large working set; np.abs of the complex difference, as
+    # ``reconstruct(...) - rho`` is taken (np.hypot of the parts rounds
+    # differently on some builds)
+    back = _expand(s.rows, n)
+    back -= _density_stack(psi)
     residuals = {
-        "roundtrip": np.abs(back - s.rho).max(axis=(1, 2)),
+        "roundtrip": np.abs(back).max(axis=(1, 2)),
         "alpha_det_negativity": _clamp_low(-s.alpha_det),
     }
     if n != 2:

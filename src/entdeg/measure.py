@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochForm, _decompose_stack, _gate, _not_finite, _raise_first
+from .bloch import BlochForm, _decompose_stack, _float_rows, _gate, _not_finite, _raise_first
 from .linalg import _hermiticity_gate, det_real, herm_eigvals
 from .states import StateVector, density_from_state, partial_trace
 
@@ -221,16 +221,37 @@ def _clamp_low(x: np.ndarray) -> np.ndarray:
     return np.where(x <= 0.0, 0.0, x)
 
 
-# What ``_analyze_stack`` computes, one row per state. ``kappa`` (the rows k1
+# What ``_analyze_stack`` computes, one row per state. ``rows`` holds u, v and
+# beta as the coefficient rows ``bloch._expand`` reads. ``kappa`` (the rows k1
 # and k2), ``p_e_schmidt``, ``concurrence``, ``residuals`` and ``u_gap``, the
 # gap |P_E - sqrt(1 - |u|^2)|, are None at dim 3; ``gates`` lists analyze's
 # gates in its order, each as the mask of the rows that pass it and the
 # exception of a row that does not.
 _Stack = namedtuple(
     "_Stack",
-    "rho u v beta purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence residuals"
+    "u v beta rows purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence residuals"
     " u_gap gates",
 )
+
+
+# numpy buffers both broadcast operands of a product whole, 16 bytes per
+# entry each, up to 8192 entries: ``_density_stack`` takes at most this many
+# entries per product
+_DENSITY_PRODUCTS = 4096
+
+
+def _density_stack(psi: np.ndarray) -> np.ndarray:
+    """The density matrices (N, d, d) of the amplitude rows psi (N, d), each
+    ``np.outer(psi[i], psi[i].conj())``, a block of rows at a time."""
+    count, d = psi.shape
+    step = max(_DENSITY_PRODUCTS // (d * d), 1)
+    if count <= step:
+        return psi[:, :, None] * psi.conj()[:, None, :]
+    rho = np.empty((count, d, d), dtype=complex)
+    for lo in range(0, count, step):
+        block = psi[lo : lo + step]
+        np.multiply(block[:, :, None], block.conj()[:, None, :], out=rho[lo : lo + step])
+    return rho
 
 
 def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
@@ -241,21 +262,26 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     and the concurrence's complex products run in Python's scalar arithmetic.
     """
     count = len(psi)
-    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    rho = _density_stack(psi)
     pur = np.einsum("nij,nji->n", rho, rho).real
     # pur is finite unless an entry of rho is not, or its squares overflow;
     # only then are the entries read, and the row zeroed for what follows
-    given, finite = rho, np.isfinite(pur)
+    finite, given = np.isfinite(pur), None
     if not finite.all():
-        rho = np.where(finite[:, None, None], rho, 0.0)
+        given, rho = rho, np.where(finite[:, None, None], rho, 0.0)
         finite = np.isfinite(given).all(axis=(1, 2))
     gates = [
         (finite, lambda i: _not_finite(given[i])),
         _gate(np.abs(pur - 1.0) <= PURITY_GATE_TOL, PurityViolation,
               "purity gate failed: tr(rho^2) = {}", pur),
     ]
-
-    bloch = _decompose_stack(rho, n)
+    if n == 2:
+        rho_a = np.einsum("nijkj->nik", rho.reshape(count, 2, 2, 2, 2))
+    # the projection, the largest working set of a stack, reads the float
+    # rows alone: rho goes before it, and the stack keeps none
+    x = _float_rows(rho)
+    del rho
+    bloch = _decompose_stack(x, n)
     gates += bloch.gates
     u, v, beta = bloch.u, bloch.v, bloch.beta
     u_norm, v_norm = bloch.norms
@@ -273,7 +299,6 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     kappa = p_e_schmidt = conc = residuals = u_gap = None
     if n == 2:
         # schmidt_coeffs: the eigenvalues of the reduced density matrix
-        rho_a = np.einsum("nijkj->nik", rho.reshape(count, 2, 2, 2, 2))
         asym = np.abs(rho_a - rho_a.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         gates.append(_hermiticity_gate(asym))
         eig = np.linalg.eigvalsh(rho_a)
@@ -308,8 +333,8 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
             PurityViolation, "determinant route gives {}, sqrt(1 - |u|^2) gives {}", p_e, from_u,
         ))
     return _Stack(
-        rho, u, v, beta, pur, u_norm, v_norm, d_raw, p_e, kappa, p_e_schmidt, conc, residuals,
-        u_gap, gates,
+        u, v, beta, bloch.rows, pur, u_norm, v_norm, d_raw, p_e, kappa, p_e_schmidt, conc,
+        residuals, u_gap, gates,
     )
 
 

@@ -59,6 +59,12 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer. A bool is not, nor is a
+    float, even when integral: each would be read as a number it does not name."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
     """Build a StateVector, rescaling to unit norm.
 
@@ -78,7 +84,7 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
         an unsupported or non-integer dimension.
     """
     # 2.0 == 2, but a float dimension breaks every shape computed from it
-    integral = isinstance(dim_a, (int, np.integer)) and isinstance(dim_b, (int, np.integer))
+    integral = _is_integer(dim_a) and _is_integer(dim_b)
     if not integral or dim_a not in (2, 3) or dim_b not in (2, 3):
         raise ValueError(f"unsupported local dimensions ({dim_a}, {dim_b})")
     # a numpy integer would reach the report and break its JSON

@@ -106,6 +106,26 @@ def test_reconstruct_dim_mismatch():
         reconstruct(bf, basis_for(3))
 
 
+@pytest.mark.parametrize(
+    "n, u, v, beta",
+    [
+        (2, np.zeros(2), np.zeros(3), np.zeros((3, 3))),  # an IndexError from the tables
+        (2, np.zeros(3), np.zeros(3), np.zeros((2, 2))),
+        (2, np.zeros(3), np.zeros((3, 1)), np.zeros((3, 3))),
+        (3, np.zeros(8), np.zeros(8), np.zeros(64)),  # a flat beta was taken as it was
+    ],
+    ids=["short-u", "small-beta", "column-v", "flat-beta"],
+)
+def test_reconstruct_rejects_parts_of_the_wrong_shape(n, u, v, beta):
+    k = n * n - 1
+    shapes = (u.shape, v.shape, beta.shape)
+    with pytest.raises(ValueError) as caught:
+        reconstruct(BlochForm(n, u, v, beta), basis_for(n))
+    assert str(caught.value) == (
+        f"BlochForm parts u, v, beta have shapes {shapes}, expected {((k,), (k,), (k, k))}"
+    )
+
+
 def test_bloch_of_reduced_three_term():
     rho_a = partial_trace(THREE_TERM_RHO, "A", (2, 2))
     assert_allclose(bloch_of_reduced(rho_a, basis_for(2)), [2 / 3, 0, 1 / 3], atol=1e-14)
@@ -305,7 +325,7 @@ def test_sparse_kernel_equals_dense_einsums(monkeypatch, basis, count):
             rho.real = np.where(one.real == 0.0, -0.0, one.real)
             rho.imag = -0.0
         dense = _dense_project(rho, basis)
-        s = bloch._decompose_stack(rho, basis.dim)
+        s = bloch._decompose_stack(bloch._float_rows(rho), basis.dim)
         for want, got in zip(_dense_scaled(*dense, basis.dim), (s.u, s.v, s.beta)):
             assert got.shape == want.shape
             if basis.dim == 2:
@@ -322,8 +342,10 @@ def test_sparse_kernel_equals_dense_einsums(monkeypatch, basis, count):
             ),
         )
         u, v, beta = _dense_scaled(*dense, basis.dim)
+        # the round trip reads u, v and beta as rows, one column per state
+        assert np.array_equal(s.rows, np.concatenate([u.T, v.T, beta.reshape(count, -1).T]))
         want = _dense_expand(u, v, beta, basis)
-        got = bloch._expand(u, v, beta, basis.dim)
+        got = bloch._expand(s.rows, basis.dim)
         assert np.array_equal(got, want)
         assert np.array_equal(np.abs(got - rho), np.abs(want - rho))
 

@@ -273,6 +273,30 @@ def test_reused_generator_matches_fresh_philox(dim, idx):
             assert np.array_equal(amps[row], expected), (seed, index)
 
 
+@pytest.mark.parametrize("seed", [3, 29, 2**64 + 5])
+def test_qutrit_report_bytes_do_not_depend_on_the_chunk(monkeypatch, seed):
+    # each row of the kernel is independent of how many rows share its stack
+    for samples in (1, 99, 100, 101, 200, 513):
+        reports = []
+        for chunk in (64, CHUNK[3]):
+            monkeypatch.setitem(ensemble.CHUNK, 3, chunk)
+            reports.append(cli.emit_json(property_sweep(samples, 3, seed)))
+        assert reports[0] == reports[1], samples
+
+
+def test_a_200_sample_qutrit_sweep_runs_two_stacks(monkeypatch):
+    real_stack = ensemble._analyze_stack
+    rows = []
+
+    def counted(psi, n):
+        rows.append(len(psi))
+        return real_stack(psi, n)
+
+    monkeypatch.setattr(ensemble, "_analyze_stack", counted)
+    property_sweep(200, 3, seed=1)
+    assert rows == [100, 100]
+
+
 def test_nan_sample_fails_the_sweep(monkeypatch):
     real_chunk = ensemble._chunk_values
     calls = []

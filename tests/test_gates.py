@@ -26,6 +26,7 @@ GATE_MESSAGES = [
     "must be a square matrix",
     "expected a real 3-vector",
     "the generator set of local dimension",
+    "BlochForm parts u, v, beta have shapes",
 ]
 
 

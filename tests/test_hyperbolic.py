@@ -147,7 +147,7 @@ def test_degree_and_decompose_share_one_norm_bound(norm, accepted):
     np.testing.assert_equal(np.linalg.norm(u), norm)
     basis = basis_for(2)
     rho = reconstruct(BlochForm(2, u, np.zeros(3), np.zeros((3, 3))), basis)
-    s = bloch._decompose_stack(rho[None], 2)
+    s = bloch._decompose_stack(bloch._float_rows(rho[None]), 2)
     np.testing.assert_equal(s.norms[0, 0], norm)
     passed, error = s.gates[1]  # decompose's |u| gate
     assert bool(passed[0]) is accepted

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entdeg.ensemble import property_sweep
 from entdeg.measure import analyze
 from entdeg.states import (
+    _is_integer,
     density_from_state,
     partial_trace,
     purity,
@@ -98,6 +100,23 @@ def test_non_integer_dims_rejected(dims):
 def test_numpy_integer_dims_accepted():
     psi = state_from_amplitudes([1, 0, 0, 1], np.int64(2), np.int64(2))
     assert analyze(psi).p_e_det == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", [True, np.True_, 2.0])
+def test_dims_follow_the_draws_integer_rule(dim):
+    # the rule ensemble._integer applies to the draw's arguments
+    assert not _is_integer(dim)
+    with pytest.raises(ValueError) as caught:
+        state_from_amplitudes([1, 0, 0, 1], dim, 2)
+    assert str(caught.value) == f"unsupported local dimensions ({dim}, 2)"
+    with pytest.raises(ValueError, match=r"^local dimension must be an integer, got "):
+        property_sweep(1, dim, 1)
+
+
+def test_numpy_integer_dims_are_stored_as_int():
+    assert _is_integer(np.int64(2))
+    psi = state_from_amplitudes([1, 0, 0, 1], np.int64(2), 2)
+    assert type(psi.dim_a) is int and psi.dim_a == 2
 
 
 def test_density_three_term_matrix():
