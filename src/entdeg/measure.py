@@ -245,8 +245,6 @@ def _density_stack(psi: np.ndarray) -> np.ndarray:
     ``np.outer(psi[i], psi[i].conj())``, a block of rows at a time."""
     count, d = psi.shape
     step = max(_DENSITY_PRODUCTS // (d * d), 1)
-    if count <= step:
-        return psi[:, :, None] * psi.conj()[:, None, :]
     rho = np.empty((count, d, d), dtype=complex)
     for lo in range(0, count, step):
         block = psi[lo : lo + step]
