@@ -22,6 +22,9 @@ sample raises from the chunk's own stack. The sweep reads the kernel's gap
 |P_E - sqrt(1 - |u|^2)| as it is, and adds only what ``analyze`` does not
 do: the round trip through the expansion (``bloch._expand``, the kernel of
 ``reconstruct``), the hyperbolic route and the reductions over the chunks.
+The round trip subtracts the kernel's own rho at dim 2; a qutrit stack lets
+rho go before its projection, so there it is formed again. The reductions
+take one maximum per chunk over the stacked residual rows.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ _TWO_NEG53 = 2.0 ** -53
 
 # Philox4x64-10, as numpy's Philox bit generator computes it
 _PHILOX_ROUNDS = 10
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = np.array([[m] for m in _PHILOX_MUL], dtype=np.uint64)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -151,22 +155,30 @@ def _raw_words(seed: int, lo: int, hi: int, words: int) -> np.ndarray:
     1, 2, 3", SC'11). numpy increments the counter before each block, so
     sample idx reads the blocks [c, 0, 0, idx] for c = 1..ceil(words / 4); the
     key is [seed mod 2^64, seed >> 64], bumped by the Weyl constants after
-    each round. The counter lanes [c0, c2] and [c1, c3] are (2, L) arrays, so
-    both multiplies of a round are one ufunc call; the high word of each
-    64x64 product is assembled from 32-bit limbs.
+    each round. Round 0 multiplies only c and 0, so it is taken in Python
+    ints, per block: [c0, c2] = [k0, hi(M0 c) ^ idx ^ k1], [c1, c3] = [0,
+    lo(M0 c)]. In the later rounds the counter lanes [c0, c2] and [c1, c3]
+    are (2, L) arrays, so both multiplies of a round are one ufunc call; the
+    high word of each 64x64 product is assembled from 32-bit limbs.
     """
     blocks = -(-words // 4)
     count = hi - lo
-    x = np.zeros((2, count, blocks), dtype=np.uint64)  # [c0, c2]
+    k1, k0 = divmod(int(seed), 2**64)
+    keys = np.array(
+        [[[(k0 + r * _PHILOX_W[0]) % 2**64], [(k1 + r * _PHILOX_W[1]) % 2**64]]
+         for r in range(1, _PHILOX_ROUNDS)],
+        dtype=np.uint64,
+    )
+    m0c = [_PHILOX_MUL[0] * c for c in range(1, blocks + 1)]
+    x = np.empty((2, count, blocks), dtype=np.uint64)  # [c0, c2]
     y = np.zeros((2, count, blocks), dtype=np.uint64)  # [c1, c3]
-    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    y[1] = (np.arange(count, dtype=np.uint64) + np.uint64(lo))[:, None]
+    x[0] = k0
+    idx = (np.arange(count, dtype=np.uint64) + np.uint64(lo))[:, None]
+    np.bitwise_xor(idx, np.array([(p >> 64) ^ k1 for p in m0c], dtype=np.uint64), out=x[1])
+    y[1] = np.array([p % 2**64 for p in m0c], dtype=np.uint64)
     x, y = x.reshape(2, -1), y.reshape(2, -1)
     low, a0, a1, t, w = (np.empty_like(x) for _ in range(5))
-    k1, k0 = divmod(int(seed), 2**64)
-    for r in range(_PHILOX_ROUNDS):
-        key = np.array([[(k0 + r * _PHILOX_W[0]) % 2**64],
-                        [(k1 + r * _PHILOX_W[1]) % 2**64]], dtype=np.uint64)
+    for key in keys:
         np.multiply(x, _PHILOX_M, out=low)
         # high word: a = a1 2^32 + a0, m = m1 2^32 + m0, no partial sum overflows
         np.bitwise_and(x, _MASK32, out=a0)
@@ -232,12 +244,12 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
     if not passed.all():
         _raise_first(s.gates, int(np.argmin(passed)))
 
-    # the stack keeps no rho, so it is formed again after the expansion, the
-    # other large working set; np.abs of the complex difference, as
+    # a qutrit stack keeps no rho, so it is formed again after the expansion,
+    # the other large working set; np.abs of the complex difference, as
     # ``reconstruct(...) - rho`` is taken (np.hypot of the parts rounds
     # differently on some builds)
     back = _expand(s.rows, n)
-    back -= _density_stack(psi)
+    back -= _density_stack(psi) if s.rho is None else s.rho
     residuals = {
         "roundtrip": np.abs(back).max(axis=(1, 2)),
         "alpha_det_negativity": _clamp_low(-s.alpha_det),
@@ -304,14 +316,16 @@ def property_sweep(
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")
 
-    worst: dict[str, float] = {}
+    # one reduction per chunk over the stacked residual rows; every residual
+    # is at least +0.0, so the fold starts from 0.0
+    peaks = 0.0
     p_min, p_max = np.inf, -np.inf
     for _, psi in _chunks(local_dim, seed, 0, samples):
         residuals, p_e = _chunk_values(local_dim, psi)
-        for key, vals in residuals.items():
-            worst[key] = float(np.maximum(worst.get(key, 0.0), vals.max()))
+        peaks = np.maximum(peaks, np.stack(list(residuals.values())).max(axis=1))
         p_min = float(np.minimum(p_min, p_e.min()))
         p_max = float(np.maximum(p_max, p_e.max()))
+    worst = dict(zip(residuals, peaks.tolist()))
     return SweepReport(
         samples=samples,
         local_dim=local_dim,

@@ -16,8 +16,9 @@ among u, v and beta; ``purity_constraints_report`` returns their residuals
 so sweeps can assert all of them at once.
 
 For qutrit pairs the same determinant expression is evaluated as defined,
-but no oracle or identity set backs it up, so reports mark those results
-as not independently cross-checked.
+and reports mark those results as not independently cross-checked. The
+closed form ``_qutrit_oracle`` reads -det alpha off the amplitude matrix
+alone, without rho, the Gell-Mann tables or LAPACK; nothing calls it yet.
 
 ``analyze`` is row 0 of a stack of one in ``_analyze_stack``, the kernel the
 verify sweep runs over its chunks of Haar samples, so every report field,
@@ -185,6 +186,46 @@ def _signed_cofactors_3x3(b: np.ndarray) -> np.ndarray:
     return (t[..., 0, :, :] * t[..., 1, :, :] - t[..., 2, :, :] * t[..., 3, :, :]) * _COF_SIGN
 
 
+_QutritOracle = namedtuple("_QutritOracle", "e2 e3 minus_det_alpha")
+
+
+def _qutrit_oracle(psi: np.ndarray) -> _QutritOracle:
+    """-det alpha of the unit qutrit amplitude rows psi (N, 9), in closed form.
+
+    Row i of psi is the 3x3 amplitude matrix M, rows for subsystem A, and the
+    Schmidt weights l1, l2, l3 are the eigenvalues of M M^dagger. By
+    Cauchy-Binet their symmetric functions need no eigensolver: e1 = ||M||^2
+    = 1, e2 = sum |C_ij|^2 over the signed cofactors of M, and e3 = |det M|^2,
+    with det M = sum_j M_0j C_0j. Then
+
+        -det alpha = (3^7 / 2) e3^2 (e2 + 9 e3).
+
+    Derivation. A local unitary turns u, v and beta by orthogonal maps of
+    the generator coordinates, which leave det alpha alone, so take the
+    Schmidt form psi = sum_k s_k |kk>, l_k = s_k^2. Each pair j < k owns a
+    symmetric and an antisymmetric generator; on them u and v vanish and
+    beta is diag(3 s_j s_k, -3 s_j s_k), three 2x2 blocks whose determinants
+    multiply to -3^6 e3^2. What is left is the block over (1, g3, g8),
+    [[1, w^T], [w, B]] with w = W l and B = 2 W diag(l) W^T, where the rows of
+    the 2x3 matrix W are (sqrt(3)/2) (1, -1, 0) and (1/2) (1, 1, -2), orthogonal
+    to (1, 1, 1) with squared norm 3/2. Its Schur complement is
+    W (2 diag(l) - l l^T) W^T, of determinant (3/2)^2 (1/3) 1^T adj(X) 1 for
+    X = 2 diag(l) - l l^T, and the matrix determinant lemma gives
+    1^T adj(X) 1 = 2 (e2 + 9 e3). So the block's determinant is
+    (3/2) (e2 + 9 e3), and the product is the closed form above.
+
+    At dim 2 the same object is the concurrence: the Schmidt form leaves
+    beta = diag(2 s1 s2, -2 s1 s2, 1) beside u = v = (0, 0, l1 - l2), so
+    -det alpha = (2 s1 s2)^4 and P_E = 2 |det M| = 2 |ad - bc|.
+    """
+    m = psi.reshape(len(psi), 3, 3)
+    cof = _signed_cofactors_3x3(m)
+    e2 = (cof.real * cof.real + cof.imag * cof.imag).sum(axis=(1, 2))
+    det = (m[:, 0, :] * cof[:, 0, :]).sum(axis=1)
+    e3 = det.real * det.real + det.imag * det.imag
+    return _QutritOracle(e2, e3, 3.0**7 / 2.0 * e3 * e3 * (e2 + 9.0 * e3))
+
+
 def purity_constraints_report(bf: BlochForm) -> dict[str, float]:
     """Max-abs residuals of the pure-state identities among u, v, beta.
 
@@ -222,15 +263,15 @@ def _clamp_low(x: np.ndarray) -> np.ndarray:
 
 
 # What ``_analyze_stack`` computes, one row per state. ``rows`` holds u, v and
-# beta as the coefficient rows ``bloch._expand`` reads. ``kappa`` (the rows k1
-# and k2), ``p_e_schmidt``, ``concurrence``, ``residuals`` and ``u_gap``, the
-# gap |P_E - sqrt(1 - |u|^2)|, are None at dim 3; ``gates`` lists analyze's
-# gates in its order, each as the mask of the rows that pass it and the
-# exception of a row that does not.
+# beta as the coefficient rows ``bloch._expand`` reads. ``rho`` (the density
+# matrices), ``kappa`` (the rows k1 and k2), ``p_e_schmidt``, ``concurrence``,
+# ``residuals`` and ``u_gap``, the gap |P_E - sqrt(1 - |u|^2)|, are None at
+# dim 3; ``gates`` lists analyze's gates in its order, each as the mask of the
+# rows that pass it and the exception of a row that does not.
 _Stack = namedtuple(
     "_Stack",
-    "u v beta rows purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence residuals"
-    " u_gap gates",
+    "u v beta rows rho purity u_norm v_norm alpha_det p_e kappa p_e_schmidt concurrence"
+    " residuals u_gap gates",
 )
 
 
@@ -256,8 +297,9 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     """``analyze`` over the amplitude rows psi (N, n * n), one row per state.
 
     Row i equals, bit for bit, the single-state values of the state psi[i]:
-    the Bloch data and norms are ``bloch._decompose_stack``'s, and ``** 0.25``
-    and the concurrence's complex products run in Python's scalar arithmetic.
+    the Bloch data and norms are ``bloch._decompose_stack``'s, ``** 0.25``
+    runs in libm's pow, as Python's float power does, and the concurrence in
+    the real products Python's complex multiply takes.
     """
     count = len(psi)
     rho = _density_stack(psi)
@@ -276,9 +318,11 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     if n == 2:
         rho_a = np.einsum("nijkj->nik", rho.reshape(count, 2, 2, 2, 2))
     # the projection, the largest working set of a stack, reads the float
-    # rows alone: rho goes before it, and the stack keeps none
+    # rows alone. At dim 3 rho goes before it, and the round trip forms it
+    # again; a qubit stack is small enough to keep it for the round trip
     x = _float_rows(rho)
-    del rho
+    if n != 2:
+        rho = None
     bloch = _decompose_stack(x, n)
     gates += bloch.gates
     u, v, beta = bloch.u, bloch.v, bloch.beta
@@ -305,9 +349,16 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
         gates.append(_schmidt_sum_gate(k1 * k1 + k2 * k2))
         kappa, p_e_schmidt = (k1, k2), 2.0 * k1 * k2
 
-        # concurrence 2 |ad - bc| in Python's complex arithmetic, which rounds
-        # like numpy's scalar complex ops (its vectorized multiply does not)
-        conc = np.array([2.0 * abs(a * d - b * c) for a, b, c, d in psi.tolist()])
+        # concurrence 2 |ad - bc| as Python's complex arithmetic rounds it:
+        # each product is (re re - im im, re im + im re) in real ufuncs (numpy's
+        # complex multiply rounds differently), and abs is libm's hypot. Like
+        # Python's, it overflows to inf or NaN without a warning: such a row
+        # has failed the finite or the purity gate
+        (ar, br, cr, dr), (ai, bi, ci, di) = psi.real.T, psi.imag.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            re = ar * dr - ai * di - (br * cr - bi * ci)
+            im = ar * di + ai * dr - (br * ci + bi * cr)
+        conc = 2.0 * np.hypot(re, im)
 
         # purity_constraints_report; its np.sqrt(un2) is u_norm
         un2, vn2 = bloch.sq
@@ -318,8 +369,13 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
             "beta_sq_sum": np.abs((beta * beta).reshape(count, 9).sum(axis=1) - (3.0 - un2 - vn2)),
             "beta_cofactor": np.abs(beta - (u[:, :, None] * v[:, None, :] - cof)).max(axis=(1, 2)),
             "u_eq_v": np.abs(u_norm - v_norm),
-            "det_beta_identity": np.abs(-np.linalg.det(beta) - (1.0 - un2)),
         }
+        # LU of a beta with subnormal entries can divide by zero; the residual
+        # reports what det returns (the sweep's tolerance fails a NaN), so
+        # numpy's warning would only add a line to stderr
+        with np.errstate(divide="ignore"):
+            det_beta = np.linalg.det(beta)
+        residuals["det_beta_identity"] = np.abs(-det_beta - (1.0 - un2))
 
         # the sweep reports u_gap as det_vs_u_norm, so |u| is squared with libm
         # pow, as the scalar route's u_norm ** 2 is; a multiply rounds
@@ -331,7 +387,7 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
             PurityViolation, "determinant route gives {}, sqrt(1 - |u|^2) gives {}", p_e, from_u,
         ))
     return _Stack(
-        u, v, beta, bloch.rows, pur, u_norm, v_norm, d_raw, p_e, kappa, p_e_schmidt, conc,
+        u, v, beta, bloch.rows, rho, pur, u_norm, v_norm, d_raw, p_e, kappa, p_e_schmidt, conc,
         residuals, u_gap, gates,
     )
 

@@ -99,11 +99,13 @@ def state_from_amplitudes(amps, dim_a: int, dim_b: int) -> StateVector:
     warned = abs(norm - 1.0) > NORM_WARN_TOL
     # Outside this range the squared amplitudes lose bits or overflow (and a
     # NaN or infinite part makes the norm non-finite): look closer, and scale
-    # by the power of two that brings max |a| to [1/2, 1), which is exact.
+    # by the power of two that brings the largest real or imaginary part to
+    # [1/2, 1), which is exact. The peak is taken over the parts: a modulus
+    # overflows to inf once it passes DBL_MAX, even with both parts finite.
     if not NORM_RANGE[0] <= norm <= NORM_RANGE[1]:
         if not np.isfinite(a).all():
             raise ValueError("amplitudes must be finite, got NaN or infinity")
-        peak = float(np.abs(a).max())
+        peak = float(np.abs(a.view(np.float64)).max())
         if peak == 0.0:
             raise ValueError("state vector is identically zero")
         shift = -math.frexp(peak)[1]

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entdeg import cli, ensemble
 from entdeg.ensemble import SweepReport, property_sweep, state_for_index
@@ -240,16 +242,39 @@ def test_analyze_rejects_non_finite_amplitudes(tmp_path, capsys, token):
     assert "must be finite" in captured.err
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e200])
+DBL_MAX = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        1e-200,
+        1e-160,
+        1e200,
+        # parts whose modulus passes DBL_MAX: once scaled to a zero state
+        pytest.param(complex(1.28e308, 1.28e308), id="1.28e308+1.28e308j"),
+        pytest.param(complex(DBL_MAX, DBL_MAX), id="max+maxj"),
+    ],
+)
 def test_analyze_bell_pair_at_extreme_scale(tmp_path, capsys, scale):
-    # once rejected as zero, failed the purity gate, or overflowed
-    path = write_state(tmp_path, "scaled.json", (2, 2), [scale, 0j, 0j, scale])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["analyze", "--input", path, "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["p_e_det"] == 1.0
-    assert data["normalization_warning"] is True
+    # once rejected as zero, failed the purity gate, or overflowed; the report
+    # is the one of the same state scaled by a power of two to parts below 1,
+    # at either dim
+    z = complex(scale)
+    unit = z * 2.0 ** -math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    for n in (2, 3):
+        reports = []
+        for name, z in (("scaled", scale), ("unit", unit)):
+            amps = [z if i % (n + 1) == 0 else 0j for i in range(n * n)]
+            path = write_state(tmp_path, f"{name}.json", (n, n), amps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["analyze", "--input", path, "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        data = json.loads(reports[0])
+        assert data["p_e_det"] == 1.0
+        assert data["normalization_warning"] is True
 
 
 @pytest.mark.parametrize("dims", [[2.7, 2], [2, 2.0], [True, 2], ["2", 2], [2]])
@@ -295,6 +320,75 @@ def test_analyze_accepts_integer_amplitude_parts(tmp_path, capsys):
     path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amps}), encoding="utf-8")
     assert cli.main(["analyze", "--input", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["p_e_det"] == 1.0
+
+
+# The inputs of the analyze contract: dims valid and not, lengths off by one,
+# and parts drawn from every finite float (subnormals, +-0 and values near
+# DBL_MAX among them) or integers past the float range
+PARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1.28e308, -1.28e308, DBL_MAX, -DBL_MAX]),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+)
+# the valid pairs twice, so that about half the files reach the kernel
+DIMS = st.sampled_from(
+    [[2, 2], [3, 3], [2, 2], [3, 3], [2, 3], [1, 1], [4, 4], [2.0, 2], [True, 2], ["3", 3], [2]]
+)
+# a report field is null only where the dimension has no such value
+QUTRIT_NULLS = {"p_e_schmidt", "concurrence", "kappa", "constraint_residuals"}
+
+
+@st.composite
+def state_files(draw):
+    dims = draw(DIMS)
+    size = draw(st.sampled_from([4, 9])) if len(dims) != 2 else abs(int(dims[0]) * int(dims[1]))
+    length = max(size + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    parts = st.lists(PARTS, min_size=2, max_size=2)
+    return {"dims": dims, "amplitudes": draw(st.lists(parts, min_size=length, max_size=length))}
+
+
+def _leaves(value, key=None):
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _leaves(item, name)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item, key)
+    else:
+        yield key, value
+
+
+@example({"dims": [2, 2], "amplitudes": [[0, 0], [0, 0], [0, 0], [1.27e308, 1.27e308]]})
+@example({"dims": [2, 2], "amplitudes": [[0, 0], [0, 0], [0, 0], [1.28e308, 1.28e308]]})
+@example({"dims": [2, 2], "amplitudes": [[0, 0], [0, 1e-320], [1, 0], [0, 0]]})
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(state_files())
+def test_analyze_contract_holds_on_generated_state_files(tmp_path_factory, payload):
+    # exit 0 with a finite report and a clean stderr, or exit 2 or 3 with one
+    # error line and nothing on stdout; no warning either way
+    path = tmp_path_factory.mktemp("contract") / "state.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["analyze", "--input", str(path), "--format", "json"])
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err.getvalue() == ""
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        nulls = QUTRIT_NULLS if report["local_dim"] == 3 else set()
+        for key, leaf in _leaves(report):
+            if leaf is None:
+                assert key in nulls, key
+            elif not isinstance(leaf, (bool, str)):
+                assert math.isfinite(leaf), key
+        assert 0.0 <= report["p_e_det"] <= 1.0 + 1e-9
+    else:
+        assert code in (2, 3)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_purity_violation_maps_to_exit_3(three_term_file, monkeypatch, capsys):

@@ -26,10 +26,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entdeg import ensemble
+from entdeg import ensemble, measure
 from entdeg.ensemble import DEFAULT_TOL, state_for_index
 from entdeg.fixtures import example_fixtures
-from entdeg.measure import analyze
+from entdeg.measure import analyze, concurrence_pure
 from entdeg.states import StateVector
 
 # Measured agreement of analyze with the reference, over 300 Haar states of
@@ -158,6 +158,15 @@ def test_analyze_agrees_with_the_exact_reference_on_the_examples(fixture):
     assert abs(rep.p_e_det - float(exact) ** 0.25) <= P_E_BOUND
 
 
+@pytest.mark.parametrize("fixture", example_fixtures(), ids=lambda fx: fx.name)
+def test_example_degrees_are_the_fourth_root_of_the_exact_reference(fixture):
+    # the expected values, derived from the exact -det alpha of the amplitudes
+    # the fixture holds rather than by hand; the oblique product reads 1.1e-16
+    psi = fixture.state
+    exact = exact_minus_det_alpha(psi.amplitudes, psi.dim_a)
+    assert abs(fixture.expected_pe - float(exact) ** 0.25) <= P_E_BOUND
+
+
 def test_qubit_reference_is_the_concurrence_to_the_fourth_exactly():
     # the paper's identity: -det alpha = C^4 = 16 |ad - bc|^4 / ||psi||^8
     for state in _haar_states(2, 10):
@@ -235,3 +244,68 @@ def test_boundary_families_pass_every_gate_and_hold_the_residuals(family):
         for row in psi[:5]:
             exact = exact_minus_det_alpha(row, n)
             assert abs(analyze(StateVector(n, n, row)).alpha_det - float(exact)) <= ALPHA_DET_BOUND
+
+
+# Measured over 10^4 Haar states of seed 11: 1 - |u|^2 = 3 e2 to 1.2e-15,
+# |u| = |v| to 3.3e-16 and the sum of beta^2 to 1.2e-14; the bounds leave
+# about 4x room
+IDENTITY_BOUNDS = {"one_minus_u_sq": 5e-15, "u_eq_v": 2e-15, "beta_sq_sum": 5e-14}
+
+
+def test_qutrit_oracle_agrees_with_the_kernel_and_its_identities_on_haar_states():
+    # 10^4 states of seed 11: the oracle's -det alpha reads 6.1e-16 from the
+    # kernel's at worst, its fourth root 3.3e-16 from the kernel's P_E
+    worst = dict.fromkeys(["alpha_det", "p_e", *IDENTITY_BOUNDS], 0.0)
+    for _, psi in ensemble._chunks(3, 11, 0, 10_000):
+        oracle = measure._qutrit_oracle(psi)
+        s = measure._analyze_stack(psi, 3)
+        un2, vn2 = (s.u * s.u).sum(axis=1), (s.v * s.v).sum(axis=1)
+        gaps = {
+            "alpha_det": oracle.minus_det_alpha - s.alpha_det,
+            "p_e": oracle.minus_det_alpha ** 0.25 - s.p_e,
+            "one_minus_u_sq": 1.0 - un2 - 3.0 * oracle.e2,
+            "u_eq_v": s.u_norm - s.v_norm,
+            "beta_sq_sum": (s.beta * s.beta).sum(axis=(1, 2)) - (8.0 - 2.0 * un2 - 2.0 * vn2),
+        }
+        for key, gap in gaps.items():
+            worst[key] = max(worst[key], float(np.abs(gap).max()))
+    assert worst["alpha_det"] <= ALPHA_DET_BOUND
+    assert worst["p_e"] <= P_E_BOUND
+    for key, bound in IDENTITY_BOUNDS.items():
+        assert worst[key] <= bound, key
+
+
+def test_qutrit_oracle_agrees_with_the_exact_reference():
+    states = _haar_states(3, 30)
+    oracle = measure._qutrit_oracle(np.array([psi.amplitudes for psi in states]))
+    for psi, value in zip(states, oracle.minus_det_alpha):
+        assert abs(value - float(exact_minus_det_alpha(psi.amplitudes, 3))) <= ALPHA_DET_BOUND
+
+
+def test_qutrit_oracle_holds_down_to_schmidt_rank_2():
+    # U diag(1, 0.7, eps) V^T: the fourth roots agree to 1.1e-16 down to eps = 0
+    for seed, eps in enumerate(EPSILONS):
+        psi = _family_rows(3, (1.0, 0.7, eps), 100, seed)
+        oracle = measure._qutrit_oracle(psi)
+        p_e = measure._analyze_stack(psi, 3).p_e
+        assert np.abs(oracle.minus_det_alpha ** 0.25 - p_e).max() <= P_E_BOUND, eps
+        for row, value in zip(psi[:5], oracle.minus_det_alpha):
+            assert abs(value - float(exact_minus_det_alpha(row, 3))) <= ALPHA_DET_BOUND, eps
+
+
+def _concurrence_bits_hold(psi: np.ndarray):
+    conc = measure._analyze_stack(psi, 2).concurrence
+    expected = [concurrence_pure(StateVector(2, 2, row)) for row in psi]
+    assert [x.hex() for x in conc.tolist()] == [float(x).hex() for x in expected]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_array_concurrence_is_concurrence_pure_bit_for_bit_on_haar_states(seed):
+    # 10^5 states over the five seeds
+    _concurrence_bits_hold(ensemble._haar_rows(2, seed, 0, 20_000))
+
+
+def test_array_concurrence_is_concurrence_pure_bit_for_bit_near_product():
+    n, weights = FAMILIES["qubit-1-eps"]
+    for seed, eps in enumerate(EPSILONS):
+        _concurrence_bits_hold(_family_rows(n, weights(eps), 1000, seed))
