@@ -1,19 +1,16 @@
 """Bloch decomposition of bipartite density matrices and its inverse.
 
-For qubits the expansion is
+At local dimension n the expansion is
 
-    rho = (1/4) (1 x 1 + sum_i u_i s_i x 1 + sum_j v_j 1 x s_j
-                 + sum_ij beta_ij s_i x s_j)
+    rho = (1/n^2) (1 x 1 + w sum_i u_i g_i x 1 + w sum_j v_j 1 x g_j
+                   + (n/2) sum_ij beta_ij g_i x g_j),   w = sqrt(n (n - 1) / 2),
 
-with coefficients read off as plain trace projections. For qutrits the
-normalization carries extra weights,
-
-    rho = (1/9) (1 x 1 + sqrt(3) sum_i u_i g_i x 1 + sqrt(3) sum_j v_j 1 x g_j
-                 + (3/2) sum_ij beta_ij g_i x g_j),
-
-so the extraction picks up the prefactors sqrt(3)/2 on the local vectors and
-3/2 on the correlation matrix. These are forced by tr(g_i g_j) = 2 delta_ij
-together with the weights above; the round-trip tests pin them down.
+the plain qubit expansion at n = 2. The weights come from n alone
+(``_weights``): w puts a pure reduced state at |u| = 1 (Kimura, "The Bloch
+vector for N-level systems", Phys. Lett. A 314, 339, 2003), and with
+tr(g_i g_j) = 2 delta_ij the trace projections pick up the factors
+n / (2 w) = w / (n - 1) on the local vectors and n^2 / (4 (n/2)) = n/2 on
+the correlation matrix. The round-trip tests pin them down.
 
 Both directions run on stacks of states through one sparse kernel,
 ``_running_sums``: each output (the real or imaginary part of a trace
@@ -79,11 +76,9 @@ class BlochForm:
     beta: np.ndarray
 
 
-def _weights(local_dim: int) -> tuple[float, float, float]:
-    # (overall prefactor, local weight, pair weight) of the expansion
-    if local_dim == 2:
-        return 0.25, 1.0, 1.0
-    return 1.0 / 9.0, np.sqrt(3.0), 1.5
+def _weights(n: int) -> tuple[float, float, float]:
+    """(overall prefactor, local weight, pair weight) of the expansion at local dimension n."""
+    return 1.0 / n**2, np.sqrt(n * (n - 1) / 2), n / 2
 
 
 # bytes of gathered terms per pass of ``_running_sums``; a stack of one state
@@ -171,8 +166,8 @@ class _Tables(NamedTuple):
     # their sorted positions in natural order (u, v, beta; real, imaginary)
     project: _Terms
     natural: np.ndarray
-    # the factor of each real part in u, v and beta: 1 at dim 2, sqrt(3)/2
-    # on u and v and 3/2 on beta at dim 3, as a (2k + k^2, 1) column
+    # the factor of each real part in u, v and beta: w_local / (n - 1) on u
+    # and v and w_pair on beta, as a (2k + k^2, 1) column
     scale: np.ndarray
     # the three sums of the expansion, over the parts of rho that have
     # terms: float columns ``rho_cols``, the first ``dim`` the diagonal
@@ -226,11 +221,11 @@ def _tables(n: int) -> _Tables:
     has_terms[diagonal] = False
     pair_counts = (sums[2][0] != 0.0).sum(axis=1)
     keep = np.concatenate([diagonal, _by_count(np.flatnonzero(has_terms), pair_counts)])
-    w_uv, w_beta = (1.0, 1.0) if n == 2 else (np.sqrt(3.0) / 2.0, 1.5)
+    _, w_local, w_pair = _weights(n)
     return _Tables(
         project=_terms(coef, src, order),
         natural=natural,
-        scale=np.repeat([w_uv, w_beta], [2 * k, k * k])[:, None],
+        scale=np.repeat([w_local / (n - 1), w_pair], [2 * k, k * k])[:, None],
         local_a=_terms(*sums[0], keep),
         local_b=_terms(*sums[1], keep),
         pair=_terms(*sums[2], keep),
@@ -396,7 +391,7 @@ def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:
     a = np.asarray(rho_local, dtype=complex)
     if a.shape != (n, n):
         raise ValueError(f"rho_local has shape {a.shape}, expected {(n, n)}")
-    scale = 1.0 if n == 2 else np.sqrt(3.0) / 2.0
+    _, w_local, _ = _weights(n)
     comps = np.einsum("aij,ji->a", np.stack(basis.generators), a)
     _raise_first([_residue_gate(np.abs(comps.imag).max(keepdims=True))], 0)
-    return scale * comps.real
+    return w_local / (n - 1) * comps.real

@@ -21,7 +21,8 @@ oracle, identity and gate is the single-state one bit for bit, and a failing
 sample raises from the chunk's own stack. The sweep reads the kernel's gap
 |P_E - sqrt(1 - |u|^2)| as it is, and adds only what ``analyze`` does not
 do: the round trip through the expansion (``bloch._expand``, the kernel of
-``reconstruct``), the hyperbolic route and the reductions over the chunks.
+``reconstruct``), the hyperbolic route (``hyperbolic._degree_of_norms``, whose
+row 0 is ``degree_hyperbolic``) and the reductions over the chunks.
 The round trip subtracts the kernel's own rho at dim 2; a qutrit stack lets
 rho go before its projection, so there it is formed again. The reductions
 take one maximum per chunk over the stacked residual rows.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _expand, _raise_first
-from .hyperbolic import _ARTANH_SAFE_MARGIN
+from .hyperbolic import _degree_of_norms
 from .measure import _analyze_stack, _clamp_low, _density_stack
 from .measure import analyze  # bench/test_perfbench.py
 from .states import StateVector, _is_integer, state_from_amplitudes
@@ -257,22 +258,13 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
     if n != 2:
         return residuals, s.p_e
 
-    p_e, u_norm = s.p_e, s.u_norm
-    # degree_hyperbolic; its |u| bound is analyze's |u| gate on the same norm
-    near = u_norm > 1.0 - _ARTANH_SAFE_MARGIN
-    inside = np.where(u_norm < 1.0, u_norm, 1.0)
-    # at |u| >= 1, near holds and inside is 1.0: the algebraic branch gives +0.0
-    hyperbolic = np.where(
-        near,
-        np.sqrt((1.0 - inside) * (1.0 + inside)),
-        1.0 / np.cosh(np.arctanh(np.where(near, 0.0, u_norm))),
-    )
     residuals.update(s.residuals)
-    residuals["oracle_det_vs_schmidt"] = np.abs(p_e - s.p_e_schmidt)
-    residuals["oracle_det_vs_concurrence"] = np.abs(p_e - s.concurrence)
+    residuals["oracle_det_vs_schmidt"] = np.abs(s.p_e - s.p_e_schmidt)
+    residuals["oracle_det_vs_concurrence"] = np.abs(s.p_e - s.concurrence)
     residuals["det_vs_u_norm"] = s.u_gap
-    residuals["det_vs_hyperbolic"] = np.abs(p_e - hyperbolic)
-    return residuals, p_e
+    # degree_hyperbolic; its |u| bound is analyze's |u| gate on the same norm
+    residuals["det_vs_hyperbolic"] = np.abs(s.p_e - _degree_of_norms(s.u_norm))
+    return residuals, s.p_e
 
 
 def _chunks(local_dim: int, seed: int, lo: int, hi: int):
@@ -312,9 +304,12 @@ def property_sweep(
     samples = _integer("samples", samples, range(1, 2**64 + 1), "at least 1 and at most 2**64")
     local_dim = _integer("local dimension", local_dim, (2, 3), "2 or 3")
     seed = _integer("seed", seed, range(2**128), "in [0, 2**128)")
-    # NaN would print as invalid JSON, inf would pass every finite residual
+    # True would sweep at 1, NaN print as invalid JSON, inf pass every residual
+    if isinstance(tol, (bool, np.bool_)):
+        raise ValueError(f"tol must be a number, got {tol!r}")
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"tol must be finite and at least 0, got {tol}")
+    tol = float(tol)  # the CLI's type: a numpy float32 neither serializes nor compares as one
 
     # one reduction per chunk over the stacked residual rows; every residual
     # is at least +0.0, so the fold starts from 0.0

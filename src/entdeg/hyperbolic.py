@@ -48,11 +48,12 @@ class RapidityParam:
 
 
 def _vector3(u) -> np.ndarray:
-    """``u`` as a float array, which must have shape (3,)."""
-    vec = np.asarray(u, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError(f"expected a real 3-vector, got shape {vec.shape}")
-    return vec
+    """``u`` as a float array, which must be real and have shape (3,)."""
+    vec = np.asarray(u)
+    if vec.shape != (3,) or np.iscomplexobj(vec):  # a float cast drops imaginary parts
+        got = "complex entries" if vec.shape == (3,) else f"shape {vec.shape}"
+        raise ValueError(f"expected a real 3-vector, got {got}")
+    return vec.astype(float, copy=False)
 
 
 def rapidity_of(u) -> RapidityParam:
@@ -74,40 +75,46 @@ def rapidity_of(u) -> RapidityParam:
     return RapidityParam(unit_direction=direction, half_rapidity=float(np.arctanh(n)))
 
 
+def _dot_sigma(vec) -> np.ndarray:
+    """The 2x2 matrix vec.s = sum_i vec_i s_i over the Pauli matrices."""
+    return sum(c * s for c, s in zip(vec, basis_for(2).generators))
+
+
 def lorentz_boost(r: RapidityParam) -> np.ndarray:
     """L = cosh(phi) 1 + sinh(phi) n.s as a 2x2 complex matrix.
 
     Hermitian and positive definite with det L = cosh^2 - sinh^2 = 1.
     """
     phi = r.half_rapidity
-    sigma = basis_for(2).generators
-    n_dot_s = sum(c * s for c, s in zip(r.unit_direction, sigma))
-    return np.cosh(phi) * np.eye(2, dtype=complex) + np.sinh(phi) * n_dot_s
+    return np.cosh(phi) * np.eye(2, dtype=complex) + np.sinh(phi) * _dot_sigma(r.unit_direction)
 
 
 def boost_density_residual(u) -> float:
     """Max entrywise gap between (1 + u.s)/2 and L(u)/(2 cosh phi)."""
     vec = _vector3(u)
     r = rapidity_of(vec)
-    sigma = basis_for(2).generators
-    direct = 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(vec, sigma)))
+    direct = 0.5 * (np.eye(2, dtype=complex) + _dot_sigma(vec))
     boosted = lorentz_boost(r) / (2.0 * np.cosh(r.half_rapidity))
     return float(np.abs(direct - boosted).max())
+
+
+def _degree_of_norms(norms: np.ndarray) -> np.ndarray:
+    """``degree_hyperbolic`` of each gated norm |u|; at |u| >= 1 the algebraic form gives +0.0."""
+    near = norms > 1.0 - _ARTANH_SAFE_MARGIN
+    inside = np.where(norms < 1.0, norms, 1.0)
+    algebraic = np.sqrt((1.0 - inside) * (1.0 + inside))
+    return np.where(near, algebraic, 1.0 / np.cosh(np.arctanh(np.where(near, 0.0, norms))))
 
 
 def degree_hyperbolic(u) -> float:
     """Entanglement degree from the Bloch vector alone: 1/cosh(artanh |u|).
 
-    Equals sqrt(1 - |u|^2); the algebraic form takes over close to and at
-    |u| = 1, where artanh is unusable. ``u`` must be a real 3-vector, and
-    |u| is checked by decompose's own |u| gate, ``bloch._norm_gates``: beyond
-    1 + ``bloch.LOCAL_NORM_SLACK``, or NaN, it raises the ValueError
-    decompose raises.
+    Equals sqrt(1 - |u|^2). Row 0 of ``_degree_of_norms``, the stacked form
+    the verify sweep runs, with the algebraic fallback near |u| = 1. ``u``
+    must be a real 3-vector, and |u| is checked by decompose's own |u| gate,
+    ``bloch._norm_gates``: beyond 1 + ``bloch.LOCAL_NORM_SLACK``, or NaN, it
+    raises the ValueError decompose raises.
     """
-    n = float(np.linalg.norm(_vector3(u)))
-    bloch._raise_first(bloch._norm_gates(np.array([[n]]), "u"), 0)
-    if n >= 1.0:
-        return 0.0
-    if n > 1.0 - _ARTANH_SAFE_MARGIN:
-        return float(np.sqrt((1.0 - n) * (1.0 + n)))
-    return float(1.0 / np.cosh(np.arctanh(n)))
+    norms = np.array([np.linalg.norm(_vector3(u))])
+    bloch._raise_first(bloch._norm_gates(norms[None], "u"), 0)
+    return float(_degree_of_norms(norms)[0])

@@ -24,9 +24,9 @@ alone, without rho, the Gell-Mann tables or LAPACK; nothing calls it yet.
 verify sweep runs over its chunks of Haar samples, so every report field,
 oracle, identity and gate is written once. The Bloch-form gates belong to
 ``bloch._decompose_stack``, which the kernel calls after its finite and
-purity gates. The public single-state helpers (``alpha_matrix``,
-``degree_det``, ``schmidt_coeffs``, ``concurrence_pure``,
-``purity_constraints_report``) are separate routes the tests hold it to;
+purity gates. ``alpha_matrix`` is row 0 of ``_alpha_stack``, the one border of
+alpha. ``degree_det``, ``schmidt_coeffs``, ``concurrence_pure`` and
+``purity_constraints_report`` are separate routes the tests hold it to;
 ``degree_det`` and ``schmidt_coeffs`` raise through the kernel's gate builders.
 """
 
@@ -97,15 +97,20 @@ class EntanglementReport:
     oracle_checked: bool
 
 
-def alpha_matrix(bf: BlochForm) -> np.ndarray:
-    """Assemble [[1, v^T], [u, beta]]; pure block placement, no arithmetic."""
-    k = bf.local_dim ** 2 - 1
-    a = np.empty((k + 1, k + 1))
-    a[0, 0] = 1.0
-    a[0, 1:] = bf.v
-    a[1:, 0] = bf.u
-    a[1:, 1:] = bf.beta
+def _alpha_stack(u, v, beta) -> np.ndarray:
+    """[[1, v^T], [u, beta]] of the rows u, v (N, k) and beta (N, k, k); pure block placement."""
+    count, k = len(beta), beta.shape[-1]
+    a = np.empty((count, k + 1, k + 1))
+    a[:, 0, 0] = 1.0
+    a[:, 0, 1:] = v
+    a[:, 1:, 0] = u
+    a[:, 1:, 1:] = beta
     return a
+
+
+def alpha_matrix(bf: BlochForm) -> np.ndarray:
+    """[[1, v^T], [u, beta]] of one Bloch form, row 0 of ``_alpha_stack``."""
+    return _alpha_stack(*(np.asarray(part)[None] for part in (bf.u, bf.v, bf.beta)))[0]
 
 
 def _det_sign_gate(d: np.ndarray):
@@ -328,12 +333,7 @@ def _analyze_stack(psi: np.ndarray, n: int) -> _Stack:
     u, v, beta = bloch.u, bloch.v, bloch.beta
     u_norm, v_norm = bloch.norms
 
-    alpha = np.empty((count, n * n, n * n))
-    alpha[:, 0, 0] = 1.0
-    alpha[:, 0, 1:] = v
-    alpha[:, 1:, 0] = u
-    alpha[:, 1:, 1:] = beta
-    d_raw = -np.linalg.det(alpha)
+    d_raw = -np.linalg.det(_alpha_stack(u, v, beta))
     gates.append(_det_sign_gate(d_raw))
     # np.float_power calls libm pow, as Python's float ** does (np.power
     # rounds differently); pow(-0.0, 0.25) is +0.0 as well

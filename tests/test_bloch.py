@@ -294,8 +294,9 @@ def _dense_scaled(u_raw, v_raw, beta_raw, n):
 
 
 def _dense_expand(u, v, beta, basis):
+    """The expansion with its weights spelled out, not read from ``bloch._weights``."""
     first, second, pair = _dense_stacks(basis)
-    pref, w_local, w_pair = bloch._weights(basis.dim)
+    pref, w_local, w_pair = (0.25, 1.0, 1.0) if basis.dim == 2 else (1.0 / 9.0, np.sqrt(3.0), 1.5)
     back = np.kron(basis.identity, basis.identity) + w_local * (
         np.einsum("na,aij->nij", u, first) + np.einsum("na,aij->nij", v, second)
     )

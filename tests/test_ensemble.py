@@ -566,6 +566,22 @@ def test_sweep_argument_validation():
     assert property_sweep(1, 2, seed=1, tol=0.0).tol == 0.0
 
 
+def test_sweep_tol_is_a_float_and_not_a_bool():
+    # True once swept at a tolerance of 1 and reported "tol": true
+    for tol in (True, False, np.True_):
+        with pytest.raises(ValueError) as caught:
+            property_sweep(1, 2, seed=1, tol=tol)
+        assert str(caught.value) == f"tol must be a number, got {tol!r}"
+    # the report holds the float the CLI passes, so the JSON bytes agree
+    cli_report = cli.emit_json(property_sweep(3, 2, 1, tol=0.0))
+    assert type(property_sweep(3, 2, 1, tol=0).tol) is float
+    assert cli.emit_json(property_sweep(3, 2, 1, tol=0)) == cli_report
+    # a numpy float32 once reached the report as itself, which emit_json rejects
+    rep = property_sweep(3, 2, 1, tol=np.float32(1e-9))
+    assert type(rep.tol) is float and rep.tol == float(np.float32(1e-9))
+    assert cli.emit_json(rep) == cli.emit_json(property_sweep(3, 2, 1, tol=rep.tol))
+
+
 # each argument of the draw, a value that is not an integer or is out of range,
 # and the message it raises; True and 2.0 equal integers but are not counts
 BAD_DRAW_ARGUMENTS = [

@@ -37,8 +37,9 @@ from entdeg.fixtures import example_fixtures
 GOLDEN = Path(__file__).with_name("golden.json")
 
 SEEDS = (0, 7, 42, 2**31 - 1)
-# 65, 129 and 257 are one past one, two and four of the sweep's 64-sample
-# chunks, so the last sample sits alone in a chunk of its own
+# the sweep's chunks (``ensemble.CHUNK``) hold 256 samples at dim 2 and 100
+# at dim 3: at dim 2, 257 ends in a chunk of one sample; at dim 3, 200 is two
+# full chunks and 257 ends in a chunk of 57
 SAMPLES = (1, 7, 65, 129, 200, 257, 10_000)
 WORKER_CASES = tuple(
     (dim, 42, samples, 3) for dim in (2, 3) for samples in (7, 65, 200, 10_000)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entdeg import bloch
+from entdeg import bloch, hyperbolic
 from entdeg.bloch import BlochForm, decompose, reconstruct
 from entdeg.generators import basis_for
 from entdeg.hyperbolic import (
@@ -58,6 +58,14 @@ def test_every_entry_point_takes_only_a_3_vector(func, u, shape):
     expected = re.escape(f"expected a real 3-vector, got shape {shape}")
     with pytest.raises(ValueError, match=f"^{expected}$"):
         func(u)
+
+
+@pytest.mark.parametrize("func", [degree_hyperbolic, rapidity_of, boost_density_residual])
+def test_every_entry_point_rejects_a_complex_vector(func):
+    # a float cast once dropped the imaginary part with a warning and read |u| = 0.5
+    for u in (np.array([0.5 + 0.5j, 0.0, 0.0]), [0.5, 0.0, 0.0j]):
+        with pytest.raises(ValueError, match="^expected a real 3-vector, got complex entries$"):
+            func(u)
 
 
 def test_boost_at_rest_is_identity():
@@ -171,6 +179,21 @@ def test_reciprocal_cosh_equals_algebraic_form():
         lhs = 1.0 / np.cosh(np.arctanh(x))
         rhs = np.sqrt(1.0 - x * x)
         assert abs(lhs - rhs) <= 1e-13
+
+
+def test_stacked_degree_is_degree_hyperbolic_row_by_row():
+    # the verify sweep runs the stacked form on its |u| column; both branches,
+    # the switch at 1 - 1e-8 one ulp either side, |u| = 1 and a |u| past 1
+    # that the gate lets through
+    edge = 1.0 - 1e-8
+    norms = np.array([
+        0.0, 0.5, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0),
+        1.0 - 1e-12, 1.0, 1.0 + 5e-11,
+    ])
+    stacked = hyperbolic._degree_of_norms(norms)
+    for x, got in zip(norms, stacked):
+        assert got.hex() == degree_hyperbolic([x, 0.0, 0.0]).hex(), x
+        assert abs(got - np.sqrt(max((1.0 - x) * (1.0 + x), 0.0))) <= 1e-13, x
 
 
 def test_degree_continuous_across_branch_switch():
