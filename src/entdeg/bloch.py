@@ -44,6 +44,7 @@ is row 0 of a stack of one, and ``measure._analyze_stack`` appends the same
 gates to its own; ``hyperbolic.degree_hyperbolic`` raises through the same
 |u| gate, ``_norm_gates``. Each gate's mask is the comparison a row must pass,
 so NaN fails it; ``_raise_first`` is where any gate becomes an exception.
+``BlochForm`` checks its shapes when built; ``_sq_norms`` is the one norm dot.
 """
 
 from __future__ import annotations
@@ -67,13 +68,20 @@ class BlochForm:
     """Local Bloch vectors u, v and the real correlation matrix beta.
 
     For local dimension N the vectors have length N*N - 1 and beta is
-    (N*N - 1) x (N*N - 1). All entries are real by construction.
+    (N*N - 1) x (N*N - 1), checked when built; all entries are real by construction.
     """
 
     local_dim: int
     u: np.ndarray
     v: np.ndarray
     beta: np.ndarray
+
+    def __post_init__(self):
+        k = self.local_dim * self.local_dim - 1
+        shapes = tuple(np.shape(part) for part in (self.u, self.v, self.beta))
+        want = ((k,), (k,), (k, k))
+        if shapes != want:
+            raise ValueError(f"BlochForm parts u, v, beta have shapes {shapes}, expected {want}")
 
 
 def _weights(n: int) -> tuple[float, float, float]:
@@ -302,6 +310,17 @@ def _float_rows(rho: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rho.reshape(len(rho), -1).view(np.float64).T)
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, x (N, k) real, as ``np.linalg.norm`` rounds it.
+
+    A stacked (1 x k) @ (k x 1) product is numpy's dot of each row as it lies
+    in memory, and OpenBLAS rounds a contiguous dot (fused multiply-adds from
+    k = 4) unlike a strided one. ``np.linalg.norm`` dots a contiguous copy of a
+    real vector, and the strided ``.real`` and ``.imag`` views of a complex one.
+    """
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def _decompose_stack(x: np.ndarray, n: int) -> _BlochStack:
     """``decompose`` over a stack of finite matrices, given as their float
     rows x (2 (n * n)^2, N) (``_float_rows``).
@@ -326,9 +345,7 @@ def _decompose_stack(x: np.ndarray, n: int) -> _BlochStack:
     re = np.ascontiguousarray(out.T)[:, 0::2] if n == 2 else rows.T
     del out
     u, v, beta = re[:, :k], re[:, k : 2 * k], re[:, 2 * k :].reshape(count, k, k)
-    # squared norms as np.linalg.norm sums them: it dots a contiguous copy
-    uv = np.concatenate([u, v])
-    sq = (uv[:, None, :] @ uv[:, :, None]).reshape(2, count)
+    sq = _sq_norms(np.concatenate([u, v])).reshape(2, count)  # rows contiguous: see _sq_norms
     norms = np.sqrt(sq)
     gates = [_residue_gate(residue)]
     if n == 2:
@@ -373,12 +390,7 @@ def reconstruct(bf: BlochForm, basis: GeneratorSet) -> np.ndarray:
     n = _local_dim(basis)
     if bf.local_dim != n:
         raise ValueError(f"BlochForm dim {bf.local_dim} does not match basis dim {n}")
-    k = n * n - 1
-    parts = [np.asarray(part) for part in (bf.u, bf.v, bf.beta)]
-    shapes, expected = tuple(part.shape for part in parts), ((k,), (k,), (k, k))
-    if shapes != expected:
-        raise ValueError(f"BlochForm parts u, v, beta have shapes {shapes}, expected {expected}")
-    return _expand(np.concatenate([part.reshape(-1, 1) for part in parts], dtype=np.float64), n)[0]
+    return _expand(np.concatenate([bf.u, bf.v, np.ravel(bf.beta)], dtype=float)[:, None], n)[0]
 
 
 def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:
@@ -391,6 +403,8 @@ def bloch_of_reduced(rho_local, basis: GeneratorSet) -> np.ndarray:
     a = np.asarray(rho_local, dtype=complex)
     if a.shape != (n, n):
         raise ValueError(f"rho_local has shape {a.shape}, expected {(n, n)}")
+    if not np.isfinite(a).all():
+        raise _not_finite(a)
     _, w_local, _ = _weights(n)
     comps = np.einsum("aij,ji->a", np.stack(basis.generators), a)
     _raise_first([_residue_gate(np.abs(comps.imag).max(keepdims=True))], 0)

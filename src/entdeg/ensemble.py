@@ -6,7 +6,7 @@ derived from its index (the index sits in the highest counter word, so
 per-sample streams cannot overlap), and the Gaussian variates are produced
 by an explicit Box-Muller transform on the raw 64-bit output, not by numpy's
 ``Generator`` methods. The bits of a draw still follow the dispatch: ``np.log``
-in ``_box_muller`` rounds by numpy's SIMD target, and ``_unit_rows``' ``@`` at
+in ``_box_muller`` rounds by numpy's SIMD target, and ``_unit_rows``' dots at
 dim 3 by OpenBLAS's core, so (seed, idx) pins a state bit for bit only on one
 dispatch; ``tests/golden.json`` records the one its digests hold on.
 ``state_for_index`` draws one sample from ``np.random.Philox``; the sweep
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _expand, _raise_first
+from .bloch import _expand, _raise_first, _sq_norms
 from .hyperbolic import _degree_of_norms
 from .measure import _analyze_stack, _clamp_low, _density_stack
 from .measure import analyze  # bench/test_perfbench.py
@@ -60,17 +60,12 @@ DEFAULT_TOL = 1e-9
 # its temporaries stay within a qutrit chunk's working set.
 DRAW = 512
 
-# Samples per stacked evaluation, per local dimension. A qubit chunk of 256
-# holds a whole 200-sample call, a qutrit chunk of 100 half of one. A qutrit
-# chunk's working set grows about five times as fast; once it outgrows the
-# heap glibc keeps, the minor page faults (``resource.getrusage(...)
-# .ru_minflt``) of a warm ``property_sweep(200, 3, seed)`` cost more than the
-# larger stack saves. Traced by tracemalloc, a qutrit chunk that holds rho
-# throughout peaks at 460 KiB at 64 rows and at 680 KiB at 100, with 356
-# faults per call. The kernel lets rho go before its projection, and the
-# round trip reads u, v and beta without a copy and forms rho again after the
-# expansion: 491 KiB at 100 rows, and 0 faults in 200 calls in each of 6
-# fresh processes.
+# Samples per stacked evaluation, per local dimension: a qubit chunk holds a
+# whole 200-sample call, a qutrit chunk half of one. A qutrit chunk's working
+# set grows about five times as fast, and once it outgrows the heap glibc
+# keeps, the minor page faults (``ru_minflt``) of a warm ``property_sweep(200,
+# 3, seed)`` cost more than the larger stack saves. A 100-row qutrit chunk
+# peaks at 491 KiB (tracemalloc), with 0 faults in 200 calls in 6 fresh processes.
 CHUNK = {2: 256, 3: 100}
 
 
@@ -219,15 +214,8 @@ def _haar_rows(local_dim: int, seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _unit_rows(amps: np.ndarray) -> np.ndarray:
-    """Divide each row by its norm, rounding exactly as ``np.linalg.norm``.
-
-    ``np.linalg.norm`` of a complex vector is sqrt(re.re + im.im) with the
-    dots taken over the strided real and imaginary views; a stacked (1 x k)
-    @ (k x 1) product over the same views performs the same dots.
-    """
-    re, im = amps.real, amps.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return amps / np.sqrt(sq[:, :, 0])
+    """Divide each row by its norm, rounded as ``np.linalg.norm`` rounds it (``_sq_norms``)."""
+    return amps / np.sqrt(_sq_norms(amps.real) + _sq_norms(amps.imag))[:, None]
 
 
 def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:

@@ -1,7 +1,7 @@
 """Dense matrix helpers: the determinant and the Hermitian spectrum.
 
-``_square`` is the one check that an input is a square matrix; ``det_real``,
-``herm_eigvals`` and ``states.validate_density`` raise through it.
+``_square`` is the one square-matrix check: ``det_real``, ``herm_eigvals``,
+``states.validate_density`` and ``states.purity`` raise through it.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ def kron(a, b) -> np.ndarray:
 def det_real(m) -> float:
     """Determinant of a real square matrix (LU with partial pivoting).
 
-    Singular matrices simply return 0 within floating tolerance; no error.
+    Singular matrices give 0 within floating tolerance, and a NaN entry or a
+    subnormal pivot NaN or inf, without a warning: each caller's gate reads it.
     """
     a = _square(m, "m")
     if np.iscomplexobj(a):
         raise ValueError("det_real expects a real matrix")
-    return float(np.linalg.det(a.astype(float, copy=False)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.linalg.det(a.astype(float, copy=False)))
 
 
 def _hermiticity_gate(asym: np.ndarray):

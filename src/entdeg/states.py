@@ -167,6 +167,6 @@ def partial_trace(rho, keep: str, dims: tuple[int, int]) -> np.ndarray:
 
 def purity(rho) -> float:
     """tr(rho^2), real part (the imaginary part vanishes for Hermitian input)."""
-    a = np.asarray(rho, dtype=complex)
+    a = _square(np.asarray(rho, dtype=complex), "rho")
     return float(np.einsum("ij,ji->", a, a).real)
 

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from entdeg import bloch, ensemble
 from entdeg.bloch import BlochForm, bloch_of_reduced, decompose, reconstruct
 from entdeg.generators import GeneratorSet, basis_for
+from entdeg.measure import alpha_matrix, purity_constraints_report
 from entdeg.states import density_from_state, partial_trace, state_from_amplitudes
 
 S3 = 1 / np.sqrt(3)
@@ -126,6 +127,48 @@ def test_reconstruct_rejects_parts_of_the_wrong_shape(n, u, v, beta):
     )
 
 
+@pytest.mark.parametrize(
+    "n, u, v, beta",
+    [
+        (3, np.zeros(3), np.zeros(3), np.eye(3)),  # alpha_matrix gave a 4x4 alpha
+        (2, np.zeros(8), np.zeros(8), np.eye(8)),  # numpy's unnamed reshape error
+        (2, np.zeros(3), np.zeros(4), np.eye(3)),
+        (3, np.zeros(8), np.zeros(3), np.eye(8)),
+    ],
+    ids=["qubit-parts-dim-3", "qutrit-parts-dim-2", "long-v-dim-2", "short-v-dim-3"],
+)
+@pytest.mark.parametrize("call", [alpha_matrix, purity_constraints_report],
+                         ids=["alpha_matrix", "purity_constraints_report"])
+def test_a_form_with_parts_of_the_wrong_shape_is_rejected_when_built(n, u, v, beta, call):
+    k = n * n - 1
+    shapes = (u.shape, v.shape, beta.shape)
+    with pytest.raises(ValueError) as caught:
+        call(BlochForm(n, u, v, beta))
+    assert str(caught.value) == (
+        f"BlochForm parts u, v, beta have shapes {shapes}, expected {((k,), (k,), (k, k))}"
+    )
+
+
+# finite doubles across about +-100 decades, subnormals and zeros included
+wide = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@seed(24)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([3, 4, 8, 9]), st.data())
+def test_sq_norms_round_as_linalg_norm(count, k, data):
+    z = np.array(data.draw(st.lists(wide, min_size=2 * count * k, max_size=2 * count * k)))
+    z = z.view(complex).reshape(count, k)
+    # contiguous real rows, the copy np.linalg.norm dots for a real vector
+    x = np.ascontiguousarray(z.real)
+    assert np.array_equal(np.sqrt(bloch._sq_norms(x)), [np.linalg.norm(row) for row in x])
+    # complex rows, the dots of their strided parts as np.linalg.norm sums them
+    norms = np.sqrt(bloch._sq_norms(z.real) + bloch._sq_norms(z.imag))
+    assert np.array_equal(norms, [np.linalg.norm(row) for row in z])
+    # a strided real row is dotted as it lies, which np.linalg.norm does not do
+    assert np.array_equal(bloch._sq_norms(z.real), [row.dot(row) for row in z.real])
+
+
 def test_bloch_of_reduced_three_term():
     rho_a = partial_trace(THREE_TERM_RHO, "A", (2, 2))
     assert_allclose(bloch_of_reduced(rho_a, basis_for(2)), [2 / 3, 0, 1 / 3], atol=1e-14)
@@ -142,9 +185,14 @@ def test_bloch_of_reduced_weighted_state_b_side():
 
 
 def test_bloch_of_reduced_rejects_nan():
+    # the entry is named, as decompose names it, rather than a NaN residue
     for n in (2, 3):
-        with pytest.raises(ValueError, match="imaginary residue nan"):
-            bloch_of_reduced(np.full((n, n), np.nan), basis_for(n))
+        for bad, at in ((np.nan, (0, 0)), (np.inf, (n - 1, 0))):
+            rho_local = np.eye(n, dtype=complex) / n
+            rho_local[at] = bad
+            expected = re.escape(f"rho[{at[0]}, {at[1]}] = {complex(bad)} is not finite")
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                bloch_of_reduced(rho_local, basis_for(n))
 
 
 @pytest.mark.parametrize("n, shape", [(2, (3, 3)), (3, (2, 2)), (2, (4,)), (2, (1, 2, 2))])

@@ -271,6 +271,17 @@ def test_analyze_report_equals_public_helpers_on_fixtures(fixture):
     assert_report_holds(analyze(fixture.state), scalar_route(fixture.state)[0])
 
 
+def test_scalar_route_reads_a_subnormal_amplitude_quietly():
+    # LU of this state's beta divides by a subnormal pivot: det_real, like the
+    # kernel's det, reports what det returns without a warning
+    psi = state_from_amplitudes([0, 1e-320j, 1, 0], 2, 2)
+    fields, expected = scalar_route(psi)
+    assert_report_holds(analyze(psi), fields)
+    residuals, p_e = ensemble._chunk_values(2, psi.amplitudes[None])
+    assert bits(float(p_e[0])) == bits(fields["p_e_det"])
+    assert bits({key: float(val[0]) for key, val in residuals.items()}) == bits(expected)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("idx", [0, 1, 2**32, 2**63, 2**64 - 1])
 def test_reused_generator_matches_fresh_philox(dim, idx):

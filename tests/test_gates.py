@@ -1,6 +1,6 @@
 """Each gate is written once, and NaN fails it on every route that reaches it."""
 
-import warnings
+import re
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +50,17 @@ def test_u_norm_is_squared_once_one_way():
     assert "u_norm * u_norm" not in text
 
 
+def test_the_stacked_norm_dot_is_spelled_once():
+    # a dot rounds by the layout it reads: np.linalg.norm's rounding is
+    # matched in bloch._sq_norms alone, so no second spelling can drift from it
+    text = "".join(path.read_text(encoding="utf-8") for path in SOURCES)
+    assert len(re.findall(r"(\w+)\[:, None, :\] @ \1\[:, :, None\]", text)) == 1
+
+
 BELL = state_from_amplitudes([np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)], 2, 2)
 
 
 def _det_of_nan(monkeypatch):
-    warnings.simplefilter("ignore", RuntimeWarning)  # numpy's det of NaN warns
     degree_det(np.full((4, 4), np.nan))
 
 
@@ -113,7 +119,7 @@ def test_nan_fed_to_a_shared_builder_raises_through_the_scalar_helper(
     monkeypatch, name, helper_module, helper, error, message
 ):
     fed = _spy(monkeypatch, helper_module, name)
-    with warnings.catch_warnings(), pytest.raises(error) as caught:
+    with pytest.raises(error) as caught:
         helper(monkeypatch)
     assert type(caught.value) is error
     assert str(caught.value) == message

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from entdeg.linalg import det_real, herm_eigvals, kron
-from entdeg.states import validate_density
+from entdeg.states import purity, validate_density
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -78,7 +78,7 @@ def test_eigvals_rejects_nan():
         herm_eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("check", [det_real, herm_eigvals, validate_density])
+@pytest.mark.parametrize("check", [det_real, herm_eigvals, validate_density, purity])
 @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2)], ids=["1-d", "2x3", "2x2x2"])
 def test_non_square_input_rejected_by_one_check(check, shape):
     with pytest.raises(ValueError, match="must be a square matrix"):
