@@ -10,9 +10,9 @@ in ``_box_muller`` rounds by numpy's SIMD target, and ``_unit_rows``' dots at
 dim 3 by OpenBLAS's core, so (seed, idx) pins a state bit for bit only on one
 dispatch; ``tests/golden.json`` records the one its digests hold on.
 ``state_for_index`` draws one sample from ``np.random.Philox``; the sweep
-computes the same Philox4x64-10 output in numpy for ``DRAW`` samples at a
-time (``_raw_words``), bit for bit, so the per-sample generator remains the
-independent reference the tests hold it to.
+computes the same Philox4x64-10 output in numpy for up to ``DRAW`` samples
+at a time (``_raw_words``), bit for bit, so the per-sample generator remains
+the independent reference the tests hold it to.
 
 The sweep evaluates each draw ``CHUNK[local_dim]`` samples at a time. A
 chunk's amplitudes go through ``measure._analyze_stack``, the stacked kernel
@@ -55,9 +55,9 @@ _PHILOX_M1 = _PHILOX_M >> _SHIFT32
 
 DEFAULT_TOL = 1e-9
 
-# Samples per vectorized draw. The draw's fixed cost is a few hundred numpy
-# calls, so it pays over whole blocks rather than per chunk; at 512 samples
-# its temporaries stay within a qutrit chunk's working set.
+# Samples per vectorized draw, rounded down to whole chunks. Its fixed cost is a
+# few hundred numpy calls, so it pays over whole blocks rather than per chunk;
+# at 512 samples its temporaries stay within a qutrit chunk's working set.
 DRAW = 512
 
 # Samples per stacked evaluation, per local dimension: a qubit chunk holds a
@@ -258,12 +258,13 @@ def _chunk_values(local_dim: int, psi: np.ndarray) -> tuple[dict[str, np.ndarray
 def _chunks(local_dim: int, seed: int, lo: int, hi: int):
     """Samples lo..hi-1 as (first index, amplitude rows), in the sweep's chunks.
 
-    The amplitudes are drawn ``DRAW`` samples at a time and each draw is cut
-    into ``CHUNK[local_dim]`` rows per stacked evaluation.
+    Each draw holds as many whole chunks of ``CHUNK[local_dim]`` rows as fit in
+    ``DRAW`` (512 at dim 2, 500 at dim 3), so only the range's last chunk can be short.
     """
     chunk = CHUNK[local_dim]
-    for start in range(lo, hi, DRAW):
-        psi = _haar_rows(local_dim, seed, start, min(start + DRAW, hi))
+    step = DRAW - DRAW % chunk
+    for start in range(lo, hi, step):
+        psi = _haar_rows(local_dim, seed, start, min(start + step, hi))
         for at in range(0, len(psi), chunk):
             yield start + at, psi[at : at + chunk]
 

@@ -257,7 +257,7 @@ def purity_constraints_report(bf: BlochForm) -> dict[str, float]:
         "beta_t_u_eq_v": float(np.abs(beta.T @ u - v).max()),
         "beta_sq_sum": abs(float((beta * beta).sum()) - (3.0 - un2 - vn2)),
         "beta_cofactor": float(np.abs(beta - (np.outer(u, v) - cof)).max()),
-        "u_eq_v": abs(np.sqrt(un2) - np.sqrt(vn2)),
+        "u_eq_v": float(abs(np.sqrt(un2) - np.sqrt(vn2))),
         "det_beta_identity": abs(-det_real(beta) - (1.0 - un2)),
     }
 

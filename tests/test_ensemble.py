@@ -296,9 +296,7 @@ def test_reused_generator_matches_fresh_philox(dim, idx):
     for seed in (99, 2**64 + 3, 2**128 - 1):
         rows = ensemble._raw_words(seed, lo, lo + span, words)
         parts = list(ensemble._chunks(dim, seed, lo, lo + span))
-        assert [start for start, _ in parts] == [
-            lo + at for at in list(range(0, DRAW, CHUNK[dim])) + [DRAW, DRAW + CHUNK[dim]]
-        ]
+        assert [start for start, _ in parts] == [lo + at for at in range(0, span, CHUNK[dim])]
         amps = np.concatenate([psi for _, psi in parts])
         for row, index in enumerate(indices):
             counter = np.array([0, 0, 0, index], dtype=np.uint64)
@@ -339,6 +337,13 @@ def test_qutrit_report_bytes_do_not_depend_on_the_chunk(monkeypatch, seed):
             monkeypatch.setitem(ensemble.CHUNK, 3, chunk)
             reports.append(cli.emit_json(property_sweep(samples, 3, seed)))
         assert reports[0] == reports[1], samples
+
+
+def test_draws_are_cut_into_whole_chunks():
+    # a draw holds whole chunks, so only the range's last chunk is short
+    assert [len(psi) for _, psi in ensemble._chunks(3, 42, 0, 1100)] == [100] * 11
+    assert [len(psi) for _, psi in ensemble._chunks(2, 42, 0, 1100)] == [256] * 4 + [76]
+    assert [start for start, _ in ensemble._chunks(3, 42, 7, 1107)] == list(range(7, 1107, 100))
 
 
 def test_a_200_sample_qutrit_sweep_runs_two_stacks(monkeypatch):

@@ -29,6 +29,7 @@ import pytest
 from entdeg import ensemble, measure
 from entdeg.ensemble import DEFAULT_TOL, state_for_index
 from entdeg.fixtures import example_fixtures
+from entdeg.generators import basis_for
 from entdeg.measure import analyze, concurrence_pure
 from entdeg.states import StateVector
 
@@ -138,6 +139,23 @@ def _cofactors(m):
     cof = [[cofactor(i, j) for j in range(3)] for i in range(3)]
     terms = [_mul(m[0][j], cof[0][j]) for j in range(3)]  # the row-0 Laplace sum
     return cof, (sum(t[0] for t in terms), sum(t[1] for t in terms))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_basis_is_the_integer_generators_normalized(n):
+    # generators.py builds the set with its own loop; the diagonal generator
+    # diag(1, .., 1, -k, 0, ..), with k + 1 entries, is scaled by
+    # 1 / sqrt(k (k + 1) / 2), the others by 1 (np.array_equal is exact, but
+    # reads -0.0 and 0.0 as equal)
+    gens = basis_for(n).generators
+    assert len(gens) == len(_generators(n)) == n * n - 1
+    for g, ints in zip(gens, _generators(n)):
+        k = len(ints) - 1
+        scale = np.sqrt(k * (k + 1) / 2) if all(r == c for r, c in ints) else 1.0
+        expected = np.zeros((n, n), dtype=complex)
+        for (r, c), (re, im) in ints.items():
+            expected[r, c] = complex(re / scale, im / scale)
+        assert np.array_equal(g, expected)
 
 
 @pytest.mark.parametrize("n", [2, 3])

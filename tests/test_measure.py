@@ -155,6 +155,13 @@ def test_constraints_vanish_for_pure_states():
         assert max(residuals.values()) <= 1e-10
 
 
+def test_constraints_report_holds_python_floats():
+    # every residual is a float, as in analyze's report, not a numpy scalar
+    for psi in (BELL, state_for_index(2, 5, 3)):
+        residuals = purity_constraints_report(_bloch_of(psi))
+        assert {type(val) for val in residuals.values()} == {float}
+
+
 def test_constraints_bell_machine_precision():
     # amplitudes are fl(1/sqrt(2)), so a few ulp of noise survive
     residuals = purity_constraints_report(_bloch_of(BELL))
